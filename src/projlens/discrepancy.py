@@ -21,15 +21,13 @@ import numpy as np
 
 from . import rng
 from .datasets import PointCloud, SizeLimitError
-from .gaussmix import (
-    Ball,
-    MixtureModel,
-    mixture_ball_mass,
-    mixture_masses_at,
-    mixture_masses_pairs,
-)
+from .gaussmix import Ball, MixtureModel, mixture_ball_mass, mixture_masses_pairs
 
 NET_SIZE_LIMIT = 10 ** 7
+# most (live atom, ball) pairs one estimate may send through the mixture-mass
+# kernel; at about 2e6 pairs/s (one Xeon core, two-cluster profile) that is
+# some 8 minutes
+WORK_LIMIT = 10 ** 9
 _NET_GRID_RTOL = 1e-9
 
 # stream tags ("MCBL", "LIPS" in ASCII)
@@ -169,6 +167,16 @@ def build_ball_net(d: int, c: float, eps_o: float) -> BallNet:
     return BallNet(d=d, c=c, eps_o=eps_o, axis=axis, radii=radii)
 
 
+def _check_work(model: MixtureModel, n_balls: int, what: str) -> None:
+    """Refuse, before any kernel call, an estimate over WORK_LIMIT atom-ball pairs."""
+    pairs = n_balls * int(np.count_nonzero(model.profile.sigmas))
+    if pairs > WORK_LIMIT:
+        raise SizeLimitError(
+            f"{what} would score {pairs} (atom, ball) pairs, over the "
+            f"{WORK_LIMIT} limit; use fewer points or centers, or the mc estimator"
+        )
+
+
 def _nearest_axis(axis: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Snap each value to the closest axis entry (ties toward the smaller)."""
     idx = np.searchsorted(axis, values)
@@ -286,6 +294,7 @@ def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
     """Exact max of |empirical - predicted| over the net balls."""
     pts = _as_points(cloud, net.d)
     n = pts.shape[0]
+    _check_work(model, net.n_grid_balls, "the ball net")
     best = _Best()
     if net.n_grid_balls == 0:
         pass
@@ -310,23 +319,27 @@ def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
         )
     else:
         sq_radii = net.radii * net.radii
-        # cap the (centers x points x dim) scratch array near 64 MB
-        block_size = max(1, 8_000_000 // (n * net.d))
+        k = len(net.radii)
+        # cap the (centers x points x dim) and (centers x radii x dim)
+        # scratch arrays near 64 MB
+        block_size = max(1, 8_000_000 // (max(n, k) * net.d))
         for block in net.center_blocks(block_size):
             diff = pts[None, :, :] - block[:, None, :]
             sq = np.einsum("cij,cij->ci", diff, diff)
             sq.sort(axis=1)
-            for row, center in enumerate(block):
-                emp = np.searchsorted(sq[row], sq_radii, side="right") / n
-                pred = mixture_masses_at(model, center, sq_radii)
-                diffs = np.abs(emp - pred)
-                i = int(np.argmax(diffs))
-                best.offer(
-                    float(diffs[i]),
-                    Ball(center.copy(), float(net.radii[i])),
-                    float(emp[i]),
-                    float(pred[i]),
-                )
+            emp = np.stack([np.searchsorted(row, sq_radii, side="right") for row in sq]) / n
+            pred = mixture_masses_pairs(
+                model, block[:, None, :], np.broadcast_to(net.radii, (len(block), k))
+            )
+            diffs = np.abs(emp - pred)
+            # the first maximum in row-major order is the first in net order
+            c, i = divmod(int(np.argmax(diffs)), k)
+            best.offer(
+                float(diffs[c, i]),
+                Ball(block[c].copy(), float(net.radii[i])),
+                float(emp[c, i]),
+                float(pred[c, i]),
+            )
     best.offer(0.0, Ball.all_space(net.d), 1.0, 1.0)
     return _report(
         "net",
@@ -378,6 +391,8 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
             raise ValueError("need at least one sweep center")
         if cens.shape[1] != d:
             raise ValueError(f"centers have dimension {cens.shape[1]}, expected {d}")
+    # n data distances bound the distinct radii at each center
+    _check_work(model, cens.shape[0] * n, "the radial sweep")
     best_center = None
     best_sq = 0.0
     best_from_above = True
@@ -387,7 +402,7 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
         sq = np.sort(np.einsum("ij,ij->i", diff, diff))
         uniq, counts = np.unique(sq, return_counts=True)
         cum = np.cumsum(counts)
-        pred = mixture_masses_at(model, center, uniq)
+        pred = mixture_masses_pairs(model, center[None, :], np.sqrt(uniq))
         d_plus = cum / n - pred
         d_minus = pred - (cum - counts) / n
         i_plus = int(np.argmax(d_plus))

@@ -6,7 +6,7 @@ B(c, r) is a noncentral chi-square CDF,
 
     nu_sigma(B) = P(chi2_d(||c||^2 / sigma^2) <= r^2 / sigma^2),
 
-so every mixture mass is exact up to the engine tolerance in ``special``.
+so every mixture mass is exact up to the tolerance of ``special.chisq_cdf_pairs``.
 """
 
 from __future__ import annotations
@@ -130,55 +130,35 @@ def mixture_ball_mass(model: MixtureModel, ball: Ball) -> float:
         return 1.0
     if ball.d != model.d:
         raise ValueError(f"ball lives in R^{ball.d}, model in R^{model.d}")
-    total = 0.0
-    norm = math.sqrt(float(ball.center @ ball.center))
-    for sigma, w in zip(model.profile.sigmas, model.profile.weights):
-        if sigma == 0.0:
-            total += w if norm <= ball.radius else 0.0
-        else:
-            total += w * nu_ball_mass(float(sigma), ball)
-    return min(total, 1.0)
-
-
-def mixture_masses_at(model: MixtureModel, center: np.ndarray, sq_radii) -> np.ndarray:
-    """F-bar of concentric balls: one center, a vector of squared radii."""
-    sq = np.asarray(sq_radii, dtype=float)
-    c2 = float(np.dot(center, center))
-    total = np.zeros_like(sq)
-    for sigma, w in zip(model.profile.sigmas, model.profile.weights):
-        if sigma == 0.0:
-            total += w * (c2 <= sq)
-        else:
-            s2 = sigma * sigma
-            total += w * chisq_cdf(model.d, c2 / s2, sq / s2)
-    return np.minimum(total, 1.0)
+    return float(mixture_masses_pairs(model, ball.center[None, :], [ball.radius])[0])
 
 
 def mixture_masses_pairs(model: MixtureModel, centers: np.ndarray, radii) -> np.ndarray:
-    """F-bar over many balls at once: centers (m, d) against radii (m,).
+    """F-bar over many balls at once, the one mixture-mass kernel.
 
-    All (atom, ball) pairs go through one flattened CDF call per chunk, so
-    many-atom empirical profiles stay cheap; chunking caps the scratch
-    matrix near 16M entries.
+    F-bar(B(c, r)) depends only on (||c||^2, r^2), so the squared norms of
+    ``centers`` (taken over the last axis) broadcast against ``radii``: (m, d)
+    against (m,), one center (1, d) against many radii, or (m, 1, d) against
+    (m, k). The (atom, ball) pairs go through one flattened CDF call per
+    block of balls; blocks of about 2^20 pairs bound the scratch memory
+    however many balls come in.
     """
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    r2 = np.asarray(radii, dtype=float) ** 2
-    m = r2.size
+    c2, r2 = np.broadcast_arrays(
+        np.einsum("...j,...j->...", centers, centers),
+        np.asarray(radii, dtype=float) ** 2,
+    )
     sigmas = model.profile.sigmas
     weights = model.profile.weights
-    total = np.zeros_like(r2)
     zero = sigmas == 0.0
-    if np.any(zero):
-        total += weights[zero].sum() * (c2 <= r2)
-    live_s = sigmas[~zero]
+    total = weights[zero].sum() * (c2 <= r2)
+    s2 = sigmas[~zero, None] ** 2
     live_w = weights[~zero]
-    step = max(1, 16_000_000 // max(m, 1))
-    for start in range(0, live_s.size, step):
-        s2 = (live_s[start : start + step] ** 2)[:, None]
-        vals = chisq_cdf_pairs(
-            model.d, (c2[None, :] / s2).ravel(), (r2[None, :] / s2).ravel()
-        ).reshape(s2.size, m)
-        total += live_w[start : start + step] @ vals
+    c2, r2, flat = c2.ravel(), r2.ravel(), total.reshape(-1)
+    step = max(1, 2**20 // max(live_w.size, 1))
+    for start in range(0, flat.size, step):
+        lam = c2[start : start + step] / s2
+        vals = chisq_cdf_pairs(model.d, lam.ravel(), (r2[start : start + step] / s2).ravel())
+        flat[start : start + step] += live_w @ vals.reshape(lam.shape)
     return np.minimum(total, 1.0)
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special as sps
 
 
 def ks_statistic(sample, cdf) -> float:
@@ -37,22 +38,7 @@ def kolmogorov_sf(t: float) -> float:
     """P(K > t) for the Kolmogorov distribution (limit law of sqrt(n) D_n)."""
     if t <= 0:
         return 1.0
-    if t < 1.0:
-        # complementary theta series, fast for small t
-        total = 0.0
-        for k in range(1, 200, 2):
-            term = math.exp(-(k * k) * math.pi ** 2 / (8.0 * t * t))
-            total += term
-            if term < 1e-18:
-                break
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / t * total))
-    total = 0.0
-    for k in range(1, 101):
-        term = math.exp(-2.0 * (k * t) ** 2)
-        total += term if k % 2 == 1 else -term
-        if term < 1e-18:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
+    return float(sps.kolmogorov(t))
 
 
 def ks_p_value(statistic: float, n: int) -> float:

@@ -21,6 +21,7 @@ from projlens import (
     empirical_mass,
     gaussian_sample,
     gen_cube,
+    gen_two_cluster,
     ks_statistic,
     lipschitz_probe,
     mc_ball_sup,
@@ -223,6 +224,29 @@ def test_radial_sweep_rejects_bad_centers():
         radial_sweep_sup(cloud.data, MODEL_1D, centers=np.empty((0, 1)))
     with pytest.raises(ValueError):
         radial_sweep_sup(cloud.data, MODEL_1D, centers=np.zeros((2, 3)))
+
+
+def test_net_over_work_limit_is_refused():
+    # a centred two-cluster cloud has one atom per point; at d = 1 and the
+    # CLI's eps = 0.25 its net holds about 3.9e6 balls, 1.6e9 pairs in all
+    src = center(gen_two_cluster(50, 400, 4.0, seed=0))
+    prof = profile(src)
+    npar = net_params_from_bounds(0.25, sigma_epsilon(prof, 0.25), spectrum(src).lambda_avg, 1)
+    net = build_ball_net(1, npar.c, npar.eps_o)
+    pairs = net.n_grid_balls * prof.sigmas.size
+    assert pairs > 10**9
+    # refused before any point is scored, so any d = 1 cloud will do
+    with pytest.raises(SizeLimitError, match=f"{pairs} \\(atom, ball\\) pairs"):
+        sup_over_net(src.data[:, :1], MixtureModel(prof, 1), net)
+
+
+def test_radial_sweep_over_work_limit_is_refused():
+    # 2001 centers x 2000 radii x 2000 atoms = 8.0e9 pairs
+    src = center(gen_two_cluster(50, 2000, 4.0, seed=0))
+    prof = profile(src)
+    assert prof.sigmas.size == 2000
+    with pytest.raises(SizeLimitError, match="8004000000 \\(atom, ball\\) pairs"):
+        radial_sweep_sup(src.data[:, :2], MixtureModel(prof, 2))
 
 
 def test_radial_sweep_dominates_net_at_shared_centers():

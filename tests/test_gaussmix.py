@@ -16,7 +16,7 @@ from projlens import (
     nu_ball_mass,
     resize_ball,
 )
-from projlens.gaussmix import mixture_masses_at, mixture_masses_pairs
+from projlens.gaussmix import mixture_masses_pairs
 
 from _oracles import chisq2_central_cdf
 
@@ -134,18 +134,31 @@ def test_mixture_monotone_under_inflation(delta, r, cx):
     ) - 1e-12
 
 
+def _atomwise_mass(model, ball):
+    # F-bar(B) atom by atom through the scalar nu_ball_mass, apart from the
+    # batched kernel that mixture_ball_mass runs through
+    total = 0.0
+    for sigma, w in zip(model.profile.sigmas, model.profile.weights):
+        if sigma == 0.0:
+            total += w * float(ball.center @ ball.center <= ball.radius**2)
+        else:
+            total += w * nu_ball_mass(float(sigma), ball)
+    return min(total, 1.0)
+
+
 def test_batched_masses_match_scalar():
     model = _model([0.0, 0.7, 1.4], [0.1, 0.6, 0.3], 2)
     rng_local = np.random.default_rng(0)
     centers = rng_local.normal(size=(40, 2)) * 2
     radii = np.abs(rng_local.normal(size=40)) * 3 + 0.01
-    want = np.array(
-        [mixture_ball_mass(model, Ball(c, r)) for c, r in zip(centers, radii)]
-    )
+    want = np.array([_atomwise_mass(model, Ball(c, r)) for c, r in zip(centers, radii)])
     got = mixture_masses_pairs(model, centers, radii)
     assert np.max(np.abs(got - want)) < 1e-12
-    at = mixture_masses_at(model, centers[0], radii**2)
-    want_at = np.array([mixture_ball_mass(model, Ball(centers[0], r)) for r in radii])
+    one = np.array([mixture_ball_mass(model, Ball(c, r)) for c, r in zip(centers, radii)])
+    assert np.max(np.abs(one - want)) < 1e-12
+    # one center (1, d) broadcast against many radii
+    at = mixture_masses_pairs(model, centers[:1], radii)
+    want_at = np.array([_atomwise_mass(model, Ball(centers[0], r)) for r in radii])
     assert np.max(np.abs(at - want_at)) < 1e-12
 
 

@@ -1,4 +1,4 @@
-"""Chi-square engine tests against closed forms, scipy, and frozen MC counts."""
+"""Chi-square CDF tests against closed forms, scipy, mpmath and frozen MC counts."""
 
 import math
 
@@ -79,12 +79,44 @@ LOWER_TAIL = [
     (7, 900.0, 600.0, 9.7934863342586493e-9),
     (1, 6.0, 1e-100, 3.9724333178355353e-52),
     (4, 50.0, 1e-30, 1.7359929831205029e-72),
+    (2, 40.0, 3.0, 1.089922701897293e-06),
 ]
 
 
-@pytest.mark.parametrize("d, lam, x, want", LOWER_TAIL)
-def test_lower_tail_relative_accuracy(d, lam, x, want):
-    assert chisq_cdf(d, lam, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+def _pairs_at(d, lam, x):
+    return float(chisq_cdf_pairs(d, np.array([lam]), np.array([x]))[0])
+
+
+def _through_both(rows):
+    # the scalar entry point keeps the plain row ids
+    return [
+        pytest.param(cdf, *row, id=prefix + "-".join(map(str, row)))
+        for cdf, prefix in ((chisq_cdf, ""), (_pairs_at, "pairs-"))
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize("cdf, d, lam, x, want", _through_both(LOWER_TAIL))
+def test_lower_tail_relative_accuracy(cdf, d, lam, x, want):
+    assert cdf(d, lam, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# 40-digit mpmath values where earlier hand-built code branched: lam from
+# 700 up to 1e4, x near 0, and lam near 0
+EDGE_BRANCHES = [
+    (1, 700.0, 690.0, 0.4247869852324541),
+    (3, 3000.0, 3050.0, 0.6687144922226487),
+    (2, 1e4, 9800.0, 0.15622943636349262),
+    (5, 1e4, 10300.0, 0.9290921159636873),
+    (7, 850.0, 700.0, 0.0025139102655355166),
+    (3, 0.5, 1e-8, 2.0713103973345757e-13),
+    (2, 1e-12, 0.3, 0.13929202357487763),
+]
+
+
+@pytest.mark.parametrize("cdf, d, lam, x, want", _through_both(EDGE_BRANCHES))
+def test_edge_branches_match_mpmath(cdf, d, lam, x, want):
+    assert cdf(d, lam, x) == pytest.approx(want, abs=1e-13)
 
 
 # shrunk counterexamples to monotonicity in x found against a sum seeded at
