@@ -54,6 +54,7 @@ from .discrepancy import (
 )
 from .experiments import (
     EXPERIMENT_NAMES,
+    mc_box,
     run_cube1d,
     run_decay,
     run_figure4,
@@ -62,7 +63,7 @@ from .experiments import (
     run_twocluster,
     write_report,
 )
-from .gaussmix import MixtureModel, mixture_second_moment
+from .gaussmix import MixtureModel
 from .projection import (
     EigengapWarning,
     apply,
@@ -214,10 +215,9 @@ def _cmd_discrepancy(args) -> int:
     elif args.estimator == "radial":
         report = radial_sweep_sup(proj, model)
     else:
-        box = args.center_box
-        if box is None:
-            box = 4.0 * (mixture_second_moment(model) / args.d) ** 0.5
-        max_radius = args.max_radius if args.max_radius is not None else 1.5 * box
+        box, max_radius = mc_box(model, args.center_box)
+        if args.max_radius is not None:
+            max_radius = args.max_radius
         report = mc_ball_sup(
             proj,
             model,

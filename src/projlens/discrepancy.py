@@ -8,6 +8,12 @@ Three estimators share one report type:
   exploiting that the empirical mass is a step function of the radius;
 - mc_ball_sup: a Monte Carlo max over random balls, the fallback for d > 3.
 
+Each estimator only generates its candidate balls: the net its grid centers
+times its radii, mc its seeded ball stream, radial the data distances at each
+center. One scoring core serves all three. It counts points in balls from the
+sorted squared distances to a block of centers, scores the balls with the one
+mixture-mass kernel, and keeps the first maximum in candidate order.
+
 Closed balls throughout; boundary ties count as inside.
 """
 
@@ -167,13 +173,13 @@ def build_ball_net(d: int, c: float, eps_o: float) -> BallNet:
     return BallNet(d=d, c=c, eps_o=eps_o, axis=axis, radii=radii)
 
 
-def _check_work(model: MixtureModel, n_balls: int, what: str) -> None:
+def _check_work(model: MixtureModel, n_balls: int, what: str, remedy: str) -> None:
     """Refuse, before any kernel call, an estimate over WORK_LIMIT atom-ball pairs."""
     pairs = n_balls * int(np.count_nonzero(model.profile.sigmas))
     if pairs > WORK_LIMIT:
         raise SizeLimitError(
             f"{what} would score {pairs} (atom, ball) pairs, over the "
-            f"{WORK_LIMIT} limit; use fewer points or centers, or the mc estimator"
+            f"{WORK_LIMIT} limit; {remedy}"
         )
 
 
@@ -256,98 +262,96 @@ class DiscrepancyReport:
         )
 
 
-class _Best:
-    """Running argmax over candidate balls; strict improvement keeps the
-    first witness in enumeration order on ties."""
-
-    __slots__ = ("value", "ball", "emp", "pred")
-
-    def __init__(self):
-        self.value = -1.0
-        self.ball = None
-        self.emp = 0.0
-        self.pred = 0.0
-
-    def offer(self, value: float, ball: Ball, emp: float, pred: float) -> None:
-        if value > self.value:
-            self.value = value
-            self.ball = ball
-            self.emp = emp
-            self.pred = pred
-
-
-def _report(estimator: str, best: _Best, n_points: int, seed: int, params: dict) -> DiscrepancyReport:
-    params = dict(params)
-    params["witness_empirical"] = best.emp
-    params["witness_predicted"] = best.pred
+def _report(
+    estimator: str, best: tuple, n_points: int, seed: int, params: dict
+) -> DiscrepancyReport:
+    value, witness, emp, pred = best
     return DiscrepancyReport(
         estimator=estimator,
-        value=best.value,
-        witness=best.ball,
+        value=value,
+        witness=witness,
         n_points=n_points,
         seed=seed,
-        params=params,
+        params={**params, "witness_empirical": emp, "witness_predicted": pred},
     )
+
+
+def _block_rows(n: int, k: int, d: int) -> int:
+    # centers per block: caps the (centers x points x dim) and (centers x
+    # radii) scratch arrays near 64 MB
+    return max(1, 8_000_000 // (max(n, k) * d))
+
+
+def _sorted_sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each of the (m, d) centers to every point, one
+    sorted row per center. The pts - c form is the one empirical_mass uses,
+    so a count from these rows equals the count of the re-evaluated witness."""
+    diff = pts[None, :, :] - centers[:, None, :]
+    sq = np.einsum("cij,cij->ci", diff, diff)
+    sq.sort(axis=1)
+    return sq
+
+
+def _count_within(sq: np.ndarray, sq_radii: np.ndarray) -> np.ndarray:
+    """Points in each closed ball: each sorted row of sq against the same row
+    of squared radii."""
+    counts = np.empty(sq_radii.shape, dtype=np.intp)
+    for i, row in enumerate(sq):
+        counts[i] = np.searchsorted(row, sq_radii[i], side="right")
+    return counts
+
+
+def _first_max(blocks, pick):
+    """(score, pick(block, i)) of the largest score over a nonempty stream of
+    candidate blocks, each a tuple led by its score array. Ties go to the
+    first in stream order, then in row-major order within a block."""
+    best = None
+    for block in blocks:
+        i = int(np.argmax(block[0]))
+        score = float(block[0].flat[i])
+        if best is None or score > best[0]:
+            best = (score, pick(block, i))
+    return best
+
+
+def _ball_at(block, i: int) -> tuple:
+    _, centers, radii, emp, pred = block
+    c, j = divmod(i, radii.shape[1])
+    return Ball(centers[c].copy(), float(radii[c, j])), float(emp[c, j]), float(pred[c, j])
+
+
+def _best_ball(pts: np.ndarray, model: MixtureModel, blocks):
+    """(value, witness, emp, pred) of the first ball with the largest
+    |empirical - predicted|. ``blocks`` yields (centers (m, d), radii (m, k)),
+    at least one ball in all; ball (i, j) is B(centers[i], radii[i, j])."""
+    n = pts.shape[0]
+
+    def scored():
+        for centers, radii in blocks:
+            emp = _count_within(_sorted_sq_dists(pts, centers), radii * radii) / n
+            pred = mixture_masses_pairs(model, centers[:, None, :], radii)
+            yield np.abs(emp - pred), centers, radii, emp, pred
+
+    value, (witness, emp, pred) = _first_max(scored(), _ball_at)
+    return value, witness, emp, pred
 
 
 def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
     """Exact max of |empirical - predicted| over the net balls."""
     pts = _as_points(cloud, net.d)
     n = pts.shape[0]
-    _check_work(model, net.n_grid_balls, "the ball net")
-    best = _Best()
-    if net.n_grid_balls == 0:
-        pass
-    elif net.d == 1:
-        flat = np.sort(pts[:, 0])
-        uppers = net.axis[:, None] + net.radii[None, :]
-        lowers = net.axis[:, None] - net.radii[None, :]
-        emp = (
-            np.searchsorted(flat, uppers.ravel(), side="right")
-            - np.searchsorted(flat, lowers.ravel(), side="left")
-        ) / n
-        centers = np.repeat(net.axis, len(net.radii))[:, None]
-        radii = np.tile(net.radii, len(net.axis))
-        pred = mixture_masses_pairs(model, centers, radii)
-        diffs = np.abs(emp - pred)
-        i = int(np.argmax(diffs))
-        best.offer(
-            float(diffs[i]),
-            Ball(centers[i].copy(), float(radii[i])),
-            float(emp[i]),
-            float(pred[i]),
+    _check_work(model, net.n_grid_balls, "the ball net", "use the mc estimator")
+    k = len(net.radii)
+    if net.n_grid_balls:
+        blocks = (
+            (block, np.broadcast_to(net.radii, (len(block), k)))
+            for block in net.center_blocks(_block_rows(n, k, net.d))
         )
+        best = _best_ball(pts, model, blocks)
     else:
-        sq_radii = net.radii * net.radii
-        k = len(net.radii)
-        # cap the (centers x points x dim) and (centers x radii x dim)
-        # scratch arrays near 64 MB
-        block_size = max(1, 8_000_000 // (max(n, k) * net.d))
-        for block in net.center_blocks(block_size):
-            diff = pts[None, :, :] - block[:, None, :]
-            sq = np.einsum("cij,cij->ci", diff, diff)
-            sq.sort(axis=1)
-            emp = np.stack([np.searchsorted(row, sq_radii, side="right") for row in sq]) / n
-            pred = mixture_masses_pairs(
-                model, block[:, None, :], np.broadcast_to(net.radii, (len(block), k))
-            )
-            diffs = np.abs(emp - pred)
-            # the first maximum in row-major order is the first in net order
-            c, i = divmod(int(np.argmax(diffs)), k)
-            best.offer(
-                float(diffs[c, i]),
-                Ball(block[c].copy(), float(net.radii[i])),
-                float(emp[c, i]),
-                float(pred[c, i]),
-            )
-    best.offer(0.0, Ball.all_space(net.d), 1.0, 1.0)
-    return _report(
-        "net",
-        best,
-        n,
-        0,
-        {"c": net.c, "eps_o": net.eps_o, "n_balls": len(net)},
-    )
+        # a net without grid balls still holds the ALL ball
+        best = (0.0, Ball.all_space(net.d), 1.0, 1.0)
+    return _report("net", best, n, 0, {"c": net.c, "eps_o": net.eps_o, "n_balls": len(net)})
 
 
 def _witness_radius_at_least(sq: float) -> float:
@@ -392,36 +396,32 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
         if cens.shape[1] != d:
             raise ValueError(f"centers have dimension {cens.shape[1]}, expected {d}")
     # n data distances bound the distinct radii at each center
-    _check_work(model, cens.shape[0] * n, "the radial sweep")
-    best_center = None
-    best_sq = 0.0
-    best_from_above = True
-    best_limit = -1.0
-    for center in cens:
-        diff = pts - center
-        sq = np.sort(np.einsum("ij,ij->i", diff, diff))
-        uniq, counts = np.unique(sq, return_counts=True)
-        cum = np.cumsum(counts)
-        pred = mixture_masses_pairs(model, center[None, :], np.sqrt(uniq))
-        d_plus = cum / n - pred
-        d_minus = pred - (cum - counts) / n
-        i_plus = int(np.argmax(d_plus))
-        i_minus = int(np.argmax(d_minus))
-        if d_plus[i_plus] > best_limit:
-            best_limit = float(d_plus[i_plus])
-            best_center, best_sq, best_from_above = center, float(uniq[i_plus]), True
-        if d_minus[i_minus] > best_limit:
-            best_limit = float(d_minus[i_minus])
-            best_center, best_sq, best_from_above = center, float(uniq[i_minus]), False
-    if best_from_above:
-        radius = _witness_radius_at_least(best_sq)
-    else:
-        radius = _witness_radius_below(best_sq)
-    witness = Ball(np.array(best_center, dtype=float), radius)
+    _check_work(model, cens.shape[0] * n, "the radial sweep", "use fewer points or centers")
+
+    def scored():
+        # one center at a time: blocks of centers only raise the scratch
+        # memory, here and in the kernel, and gain no time
+        for center in cens:
+            row = _sorted_sq_dists(pts, center[None, :])[0]
+            first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+            uniq = row[first]
+            emp = _count_within(row[None, :], uniq[None, :])[0] / n
+            pred = mixture_masses_pairs(model, center[None, :], np.sqrt(uniq))
+            # the limits from above each distinct distance, then from below
+            # it, where the index of its first copy counts the points
+            # strictly inside
+            yield emp - pred, center, uniq, True
+            yield pred - first / n, center, uniq, False
+
+    def pick(block, i):
+        return block[1], float(block[2][i]), block[3]
+
+    _, (center, sq, from_above) = _first_max(scored(), pick)
+    radius = _witness_radius_at_least(sq) if from_above else _witness_radius_below(sq)
+    witness = Ball(center.copy(), radius)
     emp = empirical_mass(pts, witness)
     pred = mixture_ball_mass(model, witness)
-    best = _Best()
-    best.offer(abs(emp - pred), witness, emp, pred)
+    best = (abs(emp - pred), witness, emp, pred)
     return _report("radial", best, n, 0, {"n_centers": int(cens.shape[0])})
 
 
@@ -445,32 +445,15 @@ def mc_ball_sup(
         raise ValueError("n_balls must be >= 1")
     if not (center_box > 0 and max_radius > 0):
         raise ValueError("need center_box > 0 and max_radius > 0")
+    _check_work(model, n_balls, "the mc estimator", "use fewer balls")
     u = rng.stream(seed, _TAG_MC, d).random((n_balls, d + 1))
     centers = center_box * (2.0 * u[:, :d] - 1.0)
-    radii = max_radius * (1.0 - u[:, d])
-    sq_norms = np.einsum("ij,ij->i", pts, pts)
-    best = _Best()
-    for start in range(0, n_balls, 512):
-        cb = centers[start : start + 512]
-        rb = radii[start : start + 512]
-        sq = (
-            sq_norms[None, :]
-            - 2.0 * cb @ pts.T
-            + np.einsum("ij,ij->i", cb, cb)[:, None]
-        )
-        emp = np.count_nonzero(sq <= (rb * rb)[:, None], axis=1) / n
-        pred = mixture_masses_pairs(model, cb, rb)
-        diffs = np.abs(emp - pred)
-        i = int(np.argmax(diffs))
-        best.offer(
-            float(diffs[i]),
-            Ball(cb[i].copy(), float(rb[i])),
-            float(emp[i]),
-            float(pred[i]),
-        )
+    radii = max_radius * (1.0 - u[:, d:])
+    rows = _block_rows(n, 1, d)
+    blocks = ((centers[s : s + rows], radii[s : s + rows]) for s in range(0, n_balls, rows))
     return _report(
         "mc",
-        best,
+        _best_ball(pts, model, blocks),
         n,
         seed,
         {"n_balls": n_balls, "center_box": center_box, "max_radius": max_radius},

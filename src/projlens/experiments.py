@@ -158,9 +158,15 @@ def _seed_list(seed: int, n_seeds: int) -> list[int]:
     return [seed + i for i in range(n_seeds)]
 
 
-def _mc_box(model: MixtureModel) -> float:
-    # 4 mixture standard deviations covers everything but far tails
-    return 4.0 * math.sqrt(mixture_second_moment(model) / model.d)
+def mc_box(model: MixtureModel, center_box: float | None = None) -> tuple[float, float]:
+    """(center_box, max_radius) of the mc balls scored against a model.
+
+    The center box defaults to 4 mixture standard deviations per axis, which
+    covers everything but far tails; radii reach 1.5 times the box.
+    """
+    if center_box is None:
+        center_box = 4.0 * math.sqrt(mixture_second_moment(model) / model.d)
+    return center_box, 1.5 * center_box
 
 
 def run_figure4(
@@ -270,9 +276,9 @@ def run_decay(
         model = MixtureModel(prof, d)
         if estimator == "radial":
             return radial_sweep_sup(proj, model).value
-        box = _mc_box(model)
+        box, max_radius = mc_box(model)
         return mc_ball_sup(
-            proj, model, n_balls, seed=s, center_box=box, max_radius=1.5 * box
+            proj, model, n_balls, seed=s, center_box=box, max_radius=max_radius
         ).value
 
     keys = [(D, s) for D in grid for s in seeds]
@@ -370,10 +376,10 @@ def run_twocluster(
         prof = profile(src)
         spect = spectrum(src)
         model = MixtureModel(prof, d)
-        box = _mc_box(model)
+        box, max_radius = mc_box(model)
         value = mc_ball_sup(
             apply(pmap, src), model, n_balls,
-            seed=ball_seed, center_box=box, max_radius=1.5 * box,
+            seed=ball_seed, center_box=box, max_radius=max_radius,
         ).value
         return value, eccentricity(prof, spect, eps).ecc
 

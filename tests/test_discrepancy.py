@@ -313,6 +313,76 @@ def test_mc_ball_sup_edge_cases():
         mc_ball_sup(cloud.data, MODEL_1D, 10, center_box=-1.0)
 
 
+@pytest.mark.parametrize("seed, sign", [(4, -1), (7, 1), (8, -1), (8, 1), (11, 1)])
+def test_mc_counts_boundary_points_of_far_balls(seed, sign):
+    # a ball far from the origin (|c| ~ 1e4, r <= 1) with one point just
+    # inside or just outside its boundary: an |p|^2 - 2 c.p + |c|^2 count
+    # loses the digits that decide it, so value and witness disagreed
+    kw = {"seed": seed, "center_box": 1e4, "max_radius": 1.0}
+    ball = mc_ball_sup(np.zeros((1, 1)), MODEL_1D, 1, **kw).witness
+    pts = (ball.center + ball.radius * (1.0 + sign * 1e-9))[None, :]
+    report = mc_ball_sup(pts, MODEL_1D, 1, **kw)
+    assert report.witness == ball
+    emp = empirical_mass(pts, ball)
+    assert emp == (1.0 if sign < 0 else 0.0)
+    assert report.params["witness_empirical"] == emp
+    assert report.value == pytest.approx(abs(emp - mixture_ball_mass(MODEL_1D, ball)), abs=1e-12)
+
+
+def test_mc_over_work_limit_is_refused():
+    # 1000 atoms x (1e6 + 1) balls = 1.000001e9 pairs, refused before the
+    # ball stream is drawn
+    model = MixtureModel(Profile.from_scales(np.linspace(1.0, 2.0, 1000)), 2)
+    with pytest.raises(SizeLimitError, match="1000001000 \\(atom, ball\\) pairs"):
+        mc_ball_sup(np.zeros((1, 2)), model, 10**6 + 1)
+
+
+# small clouds on a half-integer grid: duplicate points, tied distances, and
+# points exactly on the boundaries of net balls
+_grid_clouds = st.integers(1, 2).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=14
+    ).map(lambda rows: 0.5 * np.array(rows, dtype=float))
+)
+_small_models = st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3).map(
+    Profile.from_scales
+)
+
+
+@given(_grid_clouds, _small_models, st.lists(st.integers(-4, 4), min_size=2, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_radial_sweep_dominates_brute_force_scan(pts, prof, raw_centers):
+    n, d = pts.shape
+    model = MixtureModel(prof, d)
+    centers = 0.5 * np.array(raw_centers[: len(raw_centers) // d * d], dtype=float).reshape(-1, d)
+    report = radial_sweep_sup(pts, model, centers=centers)
+    brute = 0.0
+    for c in centers:
+        dist = np.unique(np.linalg.norm(pts - c, axis=1))
+        for r in np.concatenate([dist, 0.5 * (dist[1:] + dist[:-1])]):
+            ball = Ball(c, float(r))
+            brute = max(brute, abs(empirical_mass(pts, ball) - mixture_ball_mass(model, ball)))
+    assert report.value >= brute - 1e-12
+
+
+@given(_grid_clouds, _small_models, st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_every_estimator_witness_reproduces_its_value(pts, prof, seed):
+    d = pts.shape[1]
+    model = MixtureModel(prof, d)
+    reports = [
+        sup_over_net(pts, model, build_ball_net(d, 1.0, 0.25)),
+        radial_sweep_sup(pts, model),
+        mc_ball_sup(pts, model, 50, seed=seed, center_box=2.0, max_radius=3.0),
+    ]
+    for report in reports:
+        emp = empirical_mass(pts, report.witness)
+        pred = mixture_ball_mass(model, report.witness)
+        assert report.params["witness_empirical"] == emp
+        assert report.params["witness_predicted"] == pytest.approx(pred, abs=1e-12)
+        assert report.value == pytest.approx(abs(emp - pred), abs=1e-12)
+
+
 def test_lipschitz_probe_respects_bound():
     cube = center(gen_cube(100, n=200, seed=2))
     bound = math.sqrt(spectrum(cube).lambda_max / (100 * 0.5**2))

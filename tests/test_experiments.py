@@ -2,6 +2,9 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,3 +176,18 @@ def test_decay_parameter_validation():
         run_decay(shape="blob", grid=(16, 32), n_seeds=1)
     with pytest.raises(ValueError):
         run_cube1d(n_seeds=0)
+
+
+def test_run_all_experiments_script_quick(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_experiments.py"
+    res = subprocess.run(
+        [sys.executable, str(script), "--quick", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    for name in EXPERIMENT_NAMES:
+        summary = json.loads((tmp_path / f"{name}_summary.json").read_text())
+        assert summary["name"] == name
