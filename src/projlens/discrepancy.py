@@ -11,8 +11,9 @@ Three estimators share one report type:
 Each estimator only generates its candidate balls: the net its grid centers
 times its radii, mc its seeded ball stream, radial the data distances at each
 center. One scoring core serves all three. It counts points in balls from the
-sorted squared distances to a block of centers, scores the balls with the one
-mixture-mass kernel, and keeps the first maximum in candidate order.
+squared distances to a block of centers, in the one form empirical_mass also
+uses, scores the balls with the one mixture-mass kernel, and keeps the first
+maximum in candidate order.
 
 Closed balls throughout; boundary ties count as inside.
 """
@@ -50,6 +51,21 @@ def _as_points(cloud, d: int | None = None) -> np.ndarray:
     return pts
 
 
+def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each of the (m, d) centers to every point, one
+    row per center, summed axis by axis in order. Every count of points in a
+    ball uses this one form, so an estimator's count equals the count of its
+    re-evaluated witness."""
+    axes, cols = pts.T.copy(), centers.T[:, :, None]
+    sq = np.subtract(axes[0], cols[0])
+    sq *= sq
+    diff = np.empty_like(sq)
+    for axis, col in zip(axes[1:], cols[1:]):
+        np.subtract(axis, col, out=diff)
+        sq += np.multiply(diff, diff, out=diff)
+    return sq
+
+
 def empirical_mass(cloud, ball: Ball) -> float:
     """Fraction of points inside the closed ball."""
     pts = _as_points(cloud, ball.d if not ball.is_all and not ball.is_empty else None)
@@ -57,8 +73,7 @@ def empirical_mass(cloud, ball: Ball) -> float:
         return 0.0
     if ball.is_all:
         return 1.0
-    diff = pts - ball.center
-    sq = np.einsum("ij,ij->i", diff, diff)
+    sq = _sq_dists(pts, ball.center[None, :])
     return float(np.count_nonzero(sq <= ball.radius * ball.radius)) / pts.shape[0]
 
 
@@ -276,51 +291,36 @@ def _report(
     )
 
 
-def _block_rows(n: int, k: int, d: int) -> int:
-    # centers per block: caps the (centers x points x dim) and (centers x
-    # radii) scratch arrays near 64 MB
-    return max(1, 8_000_000 // (max(n, k) * d))
-
-
-def _sorted_sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from each of the (m, d) centers to every point, one
-    sorted row per center. The pts - c form is the one empirical_mass uses,
-    so a count from these rows equals the count of the re-evaluated witness."""
-    diff = pts[None, :, :] - centers[:, None, :]
-    sq = np.einsum("cij,cij->ci", diff, diff)
-    sq.sort(axis=1)
-    return sq
-
-
-def _count_within(sq: np.ndarray, sq_radii: np.ndarray) -> np.ndarray:
-    """Points in each closed ball: each sorted row of sq against the same row
-    of squared radii."""
+def _count_within(pts: np.ndarray, centers: np.ndarray, sq_radii: np.ndarray) -> np.ndarray:
+    """Points in each closed ball B(centers[i], r), r*r in row i of sq_radii.
+    The distance rows of 64 centers at a time stay in cache. One radius per
+    center is a compare; more sort each row and search it."""
     counts = np.empty(sq_radii.shape, dtype=np.intp)
-    for i, row in enumerate(sq):
-        counts[i] = np.searchsorted(row, sq_radii[i], side="right")
+    for s in range(0, len(centers), 64):
+        sq = _sq_dists(pts, centers[s : s + 64])
+        if sq_radii.shape[1] == 1:
+            counts[s : s + 64, 0] = np.count_nonzero(sq <= sq_radii[s : s + 64], axis=1)
+            continue
+        sq.sort(axis=1)
+        for i, row in enumerate(sq, s):
+            counts[i] = np.searchsorted(row, sq_radii[i], side="right")
     return counts
 
 
-def _first_max(blocks, pick):
-    """(score, pick(block, i)) of the largest score over a nonempty stream of
-    candidate blocks, each a tuple led by its score array. Ties go to the
-    first in stream order, then in row-major order within a block."""
+def _first_max(blocks) -> tuple:
+    """(score, block, i) for the largest score over a nonempty stream of
+    candidate blocks, each a tuple led by its score array; i is the flat
+    index of the score in that array. Ties go to the first in stream
+    order, then in row-major order within a block."""
     best = None
     for block in blocks:
         i = int(np.argmax(block[0]))
-        score = float(block[0].flat[i])
-        if best is None or score > best[0]:
-            best = (score, pick(block, i))
+        if best is None or block[0].flat[i] > best[0]:
+            best = (float(block[0].flat[i]), block, i)
     return best
 
 
-def _ball_at(block, i: int) -> tuple:
-    _, centers, radii, emp, pred = block
-    c, j = divmod(i, radii.shape[1])
-    return Ball(centers[c].copy(), float(radii[c, j])), float(emp[c, j]), float(pred[c, j])
-
-
-def _best_ball(pts: np.ndarray, model: MixtureModel, blocks):
+def _best_ball(pts: np.ndarray, model: MixtureModel, blocks) -> tuple:
     """(value, witness, emp, pred) of the first ball with the largest
     |empirical - predicted|. ``blocks`` yields (centers (m, d), radii (m, k)),
     at least one ball in all; ball (i, j) is B(centers[i], radii[i, j])."""
@@ -328,12 +328,14 @@ def _best_ball(pts: np.ndarray, model: MixtureModel, blocks):
 
     def scored():
         for centers, radii in blocks:
-            emp = _count_within(_sorted_sq_dists(pts, centers), radii * radii) / n
+            emp = _count_within(pts, centers, radii * radii) / n
             pred = mixture_masses_pairs(model, centers[:, None, :], radii)
             yield np.abs(emp - pred), centers, radii, emp, pred
 
-    value, (witness, emp, pred) = _first_max(scored(), _ball_at)
-    return value, witness, emp, pred
+    value, (_, centers, radii, emp, pred), i = _first_max(scored())
+    c, j = divmod(i, radii.shape[1])
+    witness = Ball(centers[c].copy(), float(radii[c, j]))
+    return value, witness, float(emp[c, j]), float(pred[c, j])
 
 
 def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
@@ -343,9 +345,11 @@ def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
     _check_work(model, net.n_grid_balls, "the ball net", "use the mc estimator")
     k = len(net.radii)
     if net.n_grid_balls:
+        # about 2^18 balls a block: with one atom, the kernel's scratch of
+        # some 100 B a pair stays near 25 MB
         blocks = (
             (block, np.broadcast_to(net.radii, (len(block), k)))
-            for block in net.center_blocks(_block_rows(n, k, net.d))
+            for block in net.center_blocks(max(1, 2**18 // k))
         )
         best = _best_ball(pts, model, blocks)
     else:
@@ -402,21 +406,19 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
         # one center at a time: blocks of centers only raise the scratch
         # memory, here and in the kernel, and gain no time
         for center in cens:
-            row = _sorted_sq_dists(pts, center[None, :])[0]
+            row = _sq_dists(pts, center[None, :])[0]
+            row.sort()
+            # the index of the first copy of each distinct distance counts
+            # the points strictly inside it; the next one's, those within it
             first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
             uniq = row[first]
-            emp = _count_within(row[None, :], uniq[None, :])[0] / n
             pred = mixture_masses_pairs(model, center[None, :], np.sqrt(uniq))
             # the limits from above each distinct distance, then from below
-            # it, where the index of its first copy counts the points
-            # strictly inside
-            yield emp - pred, center, uniq, True
+            yield np.append(first[1:], n) / n - pred, center, uniq, True
             yield pred - first / n, center, uniq, False
 
-    def pick(block, i):
-        return block[1], float(block[2][i]), block[3]
-
-    _, (center, sq, from_above) = _first_max(scored(), pick)
+    _, (_, center, uniq, from_above), i = _first_max(scored())
+    sq = float(uniq[i])
     radius = _witness_radius_at_least(sq) if from_above else _witness_radius_below(sq)
     witness = Ball(center.copy(), radius)
     emp = empirical_mass(pts, witness)
@@ -449,8 +451,7 @@ def mc_ball_sup(
     u = rng.stream(seed, _TAG_MC, d).random((n_balls, d + 1))
     centers = center_box * (2.0 * u[:, :d] - 1.0)
     radii = max_radius * (1.0 - u[:, d:])
-    rows = _block_rows(n, 1, d)
-    blocks = ((centers[s : s + rows], radii[s : s + rows]) for s in range(0, n_balls, rows))
+    blocks = ((centers[s : s + 512], radii[s : s + 512]) for s in range(0, n_balls, 512))
     return _report(
         "mc",
         _best_ball(pts, model, blocks),

@@ -344,6 +344,8 @@ _grid_clouds = st.integers(1, 2).flatmap(
         st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=14
     ).map(lambda rows: 0.5 * np.array(rows, dtype=float))
 )
+# no point-mass (sigma = 0) atoms: radial_sweep_sup can hang or under-report
+# with them (see test_radial_sweep_with_point_mass_atom_under_reports)
 _small_models = st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3).map(
     Profile.from_scales
 )
@@ -363,6 +365,21 @@ def test_radial_sweep_dominates_brute_force_scan(pts, prof, raw_centers):
             ball = Ball(c, float(r))
             brute = max(brute, abs(empirical_mass(pts, ball) - mixture_ball_mass(model, ball)))
     assert report.value >= brute - 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="radial from-below limit counts a point-mass jump")
+def test_radial_sweep_with_point_mass_atom_under_reports():
+    # the from-below limit at a distance equal to the center's norm (2) takes
+    # Fbar of the closed ball, so it counts the point-mass atom's jump; that
+    # candidate wins and its witness re-evaluates to 0.165, while the closed
+    # ball B(2, 2.25) scores 0.618
+    model = MixtureModel(Profile(np.array([0.0, 1.0]), np.array([0.67, 0.33])), 1)
+    pts = np.array([[-0.5], [-1.0], [-0.5], [0.0]])
+    centers = np.array([[1.0], [2.0]])
+    ball = Ball(np.array([2.0]), 2.25)
+    brute = abs(empirical_mass(pts, ball) - mixture_ball_mass(model, ball))
+    assert brute == pytest.approx(0.6176, abs=1e-4)
+    assert radial_sweep_sup(pts, model, centers=centers).value >= brute - 1e-12
 
 
 @given(_grid_clouds, _small_models, st.integers(0, 10**6))
