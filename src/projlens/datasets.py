@@ -398,12 +398,49 @@ def _parse_cell(text: str, row: int, col: int) -> float:
         raise CsvFormatError(f"non-numeric value {text!r}", row, col) from None
 
 
+def _parse_table(lines: list[str], width: int) -> np.ndarray | None:
+    """All cells of equal-width rows through numpy's C parser, or None when a
+    row is ragged or a cell does not parse. Its values are Python's float()
+    of each stripped cell, bit for bit."""
+    if any(line.count(",") + 1 != width for line in lines):
+        return None
+    try:
+        # with the row count given, numpy allocates the table once
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=len(lines))
+    except ValueError:
+        return None
+
+
+def _scan_points(lines: list[str], start: int, width: int, n_cols: int, has_labels: bool):
+    """Rows and labels cell by cell; the first ragged row, bad cell or
+    non-integer label raises CsvFormatError at its 1-based position."""
+    rows = np.empty((len(lines), n_cols))
+    labels = np.empty(len(lines), dtype=int) if has_labels else None
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        rownum = start + i + 1
+        if len(cells) != width:
+            raise CsvFormatError(
+                f"expected {width} columns, found {len(cells)}", row=rownum
+            )
+        for j in range(n_cols):
+            rows[i, j] = _parse_cell(cells[j].strip(), rownum, j + 1)
+        if has_labels:
+            val = _parse_cell(cells[-1].strip(), rownum, width)
+            if val != int(val):
+                raise CsvFormatError("label must be an integer", rownum, width)
+            labels[i] = int(val)
+    return rows, labels
+
+
 def load_points_csv(path) -> PointCloud:
     """Read a points CSV: comma-separated rows, optional header, optional label.
 
     A header is detected by a non-numeric first cell; a final integer column is
     treated as labels only when the header names it "label". Malformed input
-    raises CsvFormatError with 1-based row and column positions.
+    raises CsvFormatError with 1-based row and column positions. numpy parses
+    the cells; only input it refuses is scanned cell by cell, which finds the
+    position of the first fault (or accepts what Python's float() accepts).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
@@ -428,22 +465,18 @@ def load_points_csv(path) -> PointCloud:
     n_cols = width - 1 if has_labels else width
     if n_cols < 1:
         raise CsvFormatError("no numeric columns", row=start + 1)
-    rows = np.empty((len(lines) - start, n_cols))
-    labels = np.empty(len(lines) - start, dtype=int) if has_labels else None
-    for i, line in enumerate(lines[start:]):
-        cells = line.split(",")
-        rownum = start + i + 1
-        if len(cells) != width:
-            raise CsvFormatError(
-                f"expected {width} columns, found {len(cells)}", row=rownum
-            )
-        for j in range(n_cols):
-            rows[i, j] = _parse_cell(cells[j].strip(), rownum, j + 1)
-        if has_labels:
-            val = _parse_cell(cells[-1].strip(), rownum, width)
-            if val != int(val):
-                raise CsvFormatError("label must be an integer", rownum, width)
-            labels[i] = int(val)
+    table = _parse_table(lines[start:], width)
+    labels = None
+    if table is not None and has_labels:
+        labels = table[:, -1]
+        if np.all((labels == np.trunc(labels)) & (np.abs(labels) < 2.0**63)):
+            labels = labels.astype(int)
+        else:
+            table = None
+    if table is None:
+        rows, labels = _scan_points(lines[start:], start, width, n_cols, has_labels)
+    else:
+        rows = table[:, :n_cols]
     if not np.all(np.isfinite(rows)):
         bad = np.argwhere(~np.isfinite(rows))[0]
         raise CsvFormatError(

@@ -401,6 +401,7 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
             raise ValueError(f"centers have dimension {cens.shape[1]}, expected {d}")
     # n data distances bound the distinct radii at each center
     _check_work(model, cens.shape[0] * n, "the radial sweep", "use fewer points or centers")
+    point_mass = float(model.profile.weights[model.profile.sigmas == 0.0].sum())
 
     def scored():
         # one center at a time: blocks of centers only raise the scratch
@@ -412,15 +413,30 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
             # the points strictly inside it; the next one's, those within it
             first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
             uniq = row[first]
-            pred = mixture_masses_pairs(model, center[None, :], np.sqrt(uniq))
+            radii = np.sqrt(uniq)
+            above = below = mixture_masses_pairs(model, center[None, :], radii)
+            if point_mass:
+                # the kernel puts the point masses at the origin in B(c, r)
+                # when |c|^2 <= r*r; the limits at a distance u take the
+                # closed ball (|c|^2 <= u^2) from above and the open one
+                # (|c|^2 < u^2) from below, on the witnesses' u^2
+                c2 = np.einsum("...j,...j->...", center[None, :], center[None, :])
+                cont = above - point_mass * (c2 <= radii**2)
+                above = cont + point_mass * (c2 <= uniq)
+                below = cont + point_mass * (c2 < uniq)
             # the limits from above each distinct distance, then from below
-            yield np.append(first[1:], n) / n - pred, center, uniq, True
-            yield pred - first / n, center, uniq, False
+            yield np.append(first[1:], n) / n - above, center, uniq, True
+            yield below - first / n, center, uniq, False
 
     _, (_, center, uniq, from_above), i = _first_max(scored())
     sq = float(uniq[i])
-    radius = _witness_radius_at_least(sq) if from_above else _witness_radius_below(sq)
-    witness = Ball(center.copy(), radius)
+    if from_above:
+        witness = Ball(center.copy(), _witness_radius_at_least(sq))
+    elif sq > 0.0:
+        witness = Ball(center.copy(), _witness_radius_below(sq))
+    else:
+        # the limit from below radius 0 is the empty ball
+        witness = Ball.empty(d)
     emp = empirical_mass(pts, witness)
     pred = mixture_ball_mass(model, witness)
     best = (abs(emp - pred), witness, emp, pred)

@@ -7,6 +7,9 @@ B(c, r) is a noncentral chi-square CDF,
     nu_sigma(B) = P(chi2_d(||c||^2 / sigma^2) <= r^2 / sigma^2),
 
 so every mixture mass is exact up to the tolerance of ``special.chisq_cdf_pairs``.
+At d = 1 a ball is an interval and that CDF is the normal-CDF difference
+Phi((r - |c|) / sigma) - Phi((-r - |c|) / sigma), which the kernel evaluates
+in closed form on routes where nothing cancels.
 """
 
 from __future__ import annotations

@@ -236,3 +236,37 @@ def test_csv_rejects_ragged_and_text(tmp_path):
     bad.write_text("1,2\nx,4\n")
     with pytest.raises(CsvFormatError):
         load_points_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message, row, col",
+    [
+        ("x0,x1\n1,2\n3,4\n5\n", "expected 2 columns, found 1", 4, None),
+        ("1,2\n3,zz\n5\n", "non-numeric value 'zz'", 2, 2),
+        ("x0,x1\n1,2\n3,nan\n", "non-finite value", 3, 2),
+        ("x0,x1\n1,2\n-inf,4\n", "non-finite value", 3, 1),
+        ("x0,x1,label\n1,2,0\n3,4,1.5\n", "label must be an integer", 3, 3),
+        ("x0,x1,label\n1,2,0\n3,4,one\n", "non-numeric value 'one'", 3, 3),
+        ("x0,x1,x2\n1,2\n3,4\n", "header has 3 columns, data has 2", 2, None),
+    ],
+    ids=["ragged", "text-before-ragged", "nan", "inf", "label", "label-text", "header"],
+)
+def test_csv_error_positions(tmp_path, text, message, row, col):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(CsvFormatError, match=message) as err:
+        load_points_csv(bad)
+    assert (err.value.row, err.value.col) == (row, col)
+
+
+def test_csv_cells_read_as_python_floats(tmp_path):
+    # padded cells, signs and exponents, and cells only Python's float()
+    # takes (underscores, non-ASCII digits), each to float() of the cell
+    cells = [" 1.5 ", "+.5", "-2e-3", "1_000", "\uff13", "4.9e-324", "0.1"]
+    path = tmp_path / "cells.csv"
+    path.write_text("x0,x1,label\n" + "".join(f"{c},{c},{i}\n" for i, c in enumerate(cells)))
+    cloud = load_points_csv(path)
+    want = np.array([float(c) for c in cells])
+    assert np.array_equal(cloud.data, np.column_stack([want, want]))
+    assert cloud.labels.tolist() == list(range(len(cells)))
+

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -344,9 +346,9 @@ _grid_clouds = st.integers(1, 2).flatmap(
         st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=14
     ).map(lambda rows: 0.5 * np.array(rows, dtype=float))
 )
-# no point-mass (sigma = 0) atoms: radial_sweep_sup can hang or under-report
-# with them (see test_radial_sweep_with_point_mass_atom_under_reports)
-_small_models = st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3).map(
+# scale 0 is a point-mass atom at the origin, which the grid centers and
+# data distances often hit exactly
+_small_models = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=3).map(
     Profile.from_scales
 )
 
@@ -367,12 +369,11 @@ def test_radial_sweep_dominates_brute_force_scan(pts, prof, raw_centers):
     assert report.value >= brute - 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="radial from-below limit counts a point-mass jump")
 def test_radial_sweep_with_point_mass_atom_under_reports():
-    # the from-below limit at a distance equal to the center's norm (2) takes
-    # Fbar of the closed ball, so it counts the point-mass atom's jump; that
-    # candidate wins and its witness re-evaluates to 0.165, while the closed
-    # ball B(2, 2.25) scores 0.618
+    # the from-below limit at a distance equal to the center's norm (2) must
+    # take the open ball, which leaves out the point-mass atom's jump; with
+    # the closed ball that candidate won and its witness re-evaluated to
+    # 0.165, while the closed ball B(2, 2.25) scores 0.618
     model = MixtureModel(Profile(np.array([0.0, 1.0]), np.array([0.67, 0.33])), 1)
     pts = np.array([[-0.5], [-1.0], [-0.5], [0.0]])
     centers = np.array([[1.0], [2.0]])
@@ -380,6 +381,35 @@ def test_radial_sweep_with_point_mass_atom_under_reports():
     brute = abs(empirical_mass(pts, ball) - mixture_ball_mass(model, ball))
     assert brute == pytest.approx(0.6176, abs=1e-4)
     assert radial_sweep_sup(pts, model, centers=centers).value >= brute - 1e-12
+
+
+_POINT_MASS_AT_ZERO = """
+import numpy as np
+from projlens import MixtureModel, Profile, radial_sweep_sup
+model = MixtureModel(Profile(np.array([0.0, 1.0]), np.array([0.67, 0.33])), 1)
+pts = np.array([[-2.0], [-0.5], [0.0], [-1.0], [1.0], [2.0]])
+print(radial_sweep_sup(pts, model, centers=np.array([[-1.5], [0.0]])).value)
+print(radial_sweep_sup(np.zeros((1, 1)), model, centers=np.zeros((1, 1))).value)
+"""
+
+
+def test_radial_sweep_point_mass_limit_at_radius_zero_finishes():
+    # a from-below limit at distance 0 once searched for a radius r with
+    # r * r < 0 and never stopped; the sweep runs in a child so a hang fails
+    proc = subprocess.run(
+        [sys.executable, "-c", _POINT_MASS_AT_ZERO],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    values = [float(v) for v in proc.stdout.split()]
+    # one point on the point mass at the center: B(0, 0) holds all of the
+    # data and 0.67 of the model
+    assert values[1] == pytest.approx(0.33, abs=1e-12)
+    model = MixtureModel(Profile(np.array([0.0, 1.0]), np.array([0.67, 0.33])), 1)
+    pts = np.array([[-2.0], [-0.5], [0.0], [-1.0], [1.0], [2.0]])
+    balls = [Ball(np.array([c]), r) for c in (-1.5, 0.0) for r in np.arange(0.0, 4.0, 0.125)]
+    brute = max(abs(empirical_mass(pts, b) - mixture_ball_mass(model, b)) for b in balls)
+    assert values[0] >= brute - 1e-12
 
 
 @given(_grid_clouds, _small_models, st.integers(0, 10**6))

@@ -191,3 +191,21 @@ def test_run_all_experiments_script_quick(tmp_path):
     for name in EXPERIMENT_NAMES:
         summary = json.loads((tmp_path / f"{name}_summary.json").read_text())
         assert summary["name"] == name
+
+
+def test_pilot_rates_net_script():
+    # the net pilot scores a 3.6 M-ball d = 1 net on 1e5 points, two seeds
+    script = Path(__file__).resolve().parent.parent / "scripts" / "pilot_rates.py"
+    res = subprocess.run(
+        [sys.executable, str(script), "--only", "net"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        value = float(line.split("value=")[1].split()[0])
+        ceiling = float(line.split("ceiling ")[1].split(",")[0])
+        assert 0.0 <= value < ceiling

@@ -148,6 +148,85 @@ def test_nonincreasing_in_noncentrality(d, lam, dlam, x):
     assert chisq_cdf(d, lam + dlam, x) <= chisq_cdf(d, lam, x) + 1e-12
 
 
+# mpmath values (60 digits) of Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam),
+# the d = 1 CDF, in pairs on both sides of each cut between its routes:
+# x = lam (erf sum above), sqrt(x lam) = 1/2 (normal-tail difference at or
+# above, chndtr below), the deep-tail cut near x = 41.57 at lam = 200, and
+# the tiny-x cut (lam/2)(x/2) = 1e-90; the last value is subnormal
+ONE_DOF_ROUTES = [
+    (1, 100.0, 99.0, 0.4800111382348642),
+    (1, 100.0, 101.0, 0.5198892476769775),
+    (1, 1.0, 0.25, 0.24173033745712882),
+    (1, 1.0, 0.2, 0.21628628460578536),
+    (1, 0.25, 0.25, 0.3413447460685429),
+    (1, 0.25, 0.3, 0.37164809609726984),
+    (1, 200.0, 40.735, 4.255252251100712e-15),
+    (1, 200.0, 42.398, 1.1668602320622678e-14),
+    (1, 300.0, 1e-92, 5.724898299266728e-112),
+    (1, 300.0, 2e-92, 8.0962288180296205e-112),
+    (1, 1500.0, 1.0, 8.054988415517e-312),
+]
+
+
+@pytest.mark.parametrize("cdf, d, lam, x, want", _through_both(ONE_DOF_ROUTES))
+def test_one_dof_routes_match_mpmath(cdf, d, lam, x, want):
+    if want > 1e-300:
+        assert cdf(d, lam, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert cdf(d, lam, x) == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+# the cuts between the d = 1 routes as points in x at a given lam: x = lam,
+# x lam = 1/4, the deep-tail cut (roughly where (sqrt lam - sqrt x)^2 = 60;
+# none below lam = 60) and the tiny-x cut; two points around a cut, each 0 or
+# from 1e-9 up to 50% off it, land on either side of it or on it
+_X_CUTS = [
+    lambda lam: lam,
+    lambda lam: 0.25 / lam,
+    lambda lam: (math.sqrt(lam) - math.sqrt(60.0)) ** 2 if lam > 60.0 else lam,
+    lambda lam: 4e-90 / lam,
+]
+
+
+@given(
+    lam=st.floats(1e-6, 400.0),
+    cut=st.sampled_from(_X_CUTS),
+    below=st.one_of(st.just(0.0), st.floats(1e-9, 0.5)),
+    above=st.one_of(st.just(0.0), st.floats(1e-9, 0.5)),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_dof_monotone_in_x_across_routes(lam, cut, below, above):
+    at = cut(lam)
+    xs = np.array([at * (1.0 - below), at * (1.0 + above)])
+    lo, hi = chisq_cdf_pairs(1, np.array([lam, lam]), xs)
+    assert 0.0 <= lo <= hi <= 1.0
+
+
+# the same cuts as points in lam at a given x, but for the tiny-x one, where
+# lam < 4e-90 / x moves F far less than its rounding, so which route comes
+# out higher is noise; for the same reason the steps are 1e-3 or more (near
+# lam = 1e-6 a step of 1e-9 moves F by about 5e-16 of itself)
+_LAM_CUTS = [
+    lambda x: x,
+    lambda x: 0.25 / x,
+    lambda x: (math.sqrt(x) + math.sqrt(60.0)) ** 2,
+]
+
+
+@given(
+    x=st.floats(1e-6, 400.0),
+    cut=st.sampled_from(_LAM_CUTS),
+    below=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    above=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_dof_nonincreasing_in_lam_across_routes(x, cut, below, above):
+    at = cut(x)
+    lams = np.array([at * (1.0 - below), at * (1.0 + above)])
+    lo_lam, hi_lam = chisq_cdf_pairs(1, lams, np.array([x, x]))
+    assert 0.0 <= hi_lam <= lo_lam <= 1.0
+
+
 @pytest.mark.parametrize("d", [1, 2, 7])
 def test_pairs_path_agrees_with_scalar(d):
     lams = np.array([0.0, 1e-12, 0.5, 5.0, 60.0, 400.0, 650.0, 800.0, 1500.0])
