@@ -40,6 +40,7 @@ from .datasets import (
     gen_spherical,
     gen_two_cluster,
     load_points_csv,
+    mean_eigenvalue,
     profile,
     save_points_csv,
     sigma_epsilon,
@@ -206,14 +207,13 @@ def _cmd_discrepancy(args) -> int:
     model = MixtureModel(prof, args.d)
     proj, _, _ = _project_cloud(src, args.d, args.mode, args.seed)
     if args.estimator == "net":
-        spect = spectrum(src)
         npar = net_params_from_bounds(
-            args.eps, sigma_epsilon(prof, args.eps), spect.lambda_avg, args.d
+            args.eps, sigma_epsilon(prof, args.eps), mean_eigenvalue(src), args.d
         )
         net = build_ball_net(args.d, npar.c, npar.eps_o)
-        report = sup_over_net(proj, model, net)
+        report = sup_over_net(proj, model, net, threads=args.threads)
     elif args.estimator == "radial":
-        report = radial_sweep_sup(proj, model)
+        report = radial_sweep_sup(proj, model, threads=args.threads)
     else:
         box, max_radius = mc_box(model, args.center_box)
         if args.max_radius is not None:
@@ -225,6 +225,7 @@ def _cmd_discrepancy(args) -> int:
             seed=args.seed,
             center_box=box,
             max_radius=max_radius,
+            threads=args.threads,
         )
     report = dataclasses.replace(report, seed=args.seed)
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)

@@ -325,13 +325,19 @@ def spectrum(cloud: PointCloud) -> SpectrumSummary:
     """
     if not cloud.centered:
         warnings.warn("spectrum of an uncentered cloud; center() it first", UserWarning)
+    lam_avg = mean_eigenvalue(cloud)
+    if lam_avg == 0.0:
+        return SpectrumSummary(0.0, 0.0, cloud.dim)
+    lam_max = _power_iteration_top(cloud.data)
+    return SpectrumSummary(lam_max, lam_avg, cloud.dim)
+
+
+def mean_eigenvalue(cloud: PointCloud) -> float:
+    """lambda_avg of ``spectrum``, without its power iteration: the mean
+    eigenvalue of X^T X / n, which is the mean squared row norm over D."""
     X = cloud.data
     n, D = X.shape
-    lam_avg = float((X * X).sum() / (n * D))
-    if lam_avg == 0.0:
-        return SpectrumSummary(0.0, 0.0, D)
-    lam_max = _power_iteration_top(X)
-    return SpectrumSummary(lam_max, lam_avg, D)
+    return float((X * X).sum() / (n * D))
 
 
 def _power_iteration_vector(X: np.ndarray, deflate=(), seed_tag: int = 0):
@@ -412,8 +418,9 @@ def _parse_table(lines: list[str], width: int) -> np.ndarray | None:
 
 
 def _scan_points(lines: list[str], start: int, width: int, n_cols: int, has_labels: bool):
-    """Rows and labels cell by cell; the first ragged row, bad cell or
-    non-integer label raises CsvFormatError at its 1-based position."""
+    """Rows and labels cell by cell; the first ragged row, bad cell, or label
+    that is not an integer below 2^63 in magnitude (nan and inf are not)
+    raises CsvFormatError at its 1-based position."""
     rows = np.empty((len(lines), n_cols))
     labels = np.empty(len(lines), dtype=int) if has_labels else None
     for i, line in enumerate(lines):
@@ -427,8 +434,11 @@ def _scan_points(lines: list[str], start: int, width: int, n_cols: int, has_labe
             rows[i, j] = _parse_cell(cells[j].strip(), rownum, j + 1)
         if has_labels:
             val = _parse_cell(cells[-1].strip(), rownum, width)
-            if val != int(val):
-                raise CsvFormatError("label must be an integer", rownum, width)
+            # the comparisons are false for nan, so they go first
+            if not (abs(val) < 2.0**63 and val == int(val)):
+                raise CsvFormatError(
+                    "label must be an integer below 2^63 in magnitude", rownum, width
+                )
             labels[i] = int(val)
     return rows, labels
 

@@ -8,12 +8,12 @@ Three estimators share one report type:
   exploiting that the empirical mass is a step function of the radius;
 - mc_ball_sup: a Monte Carlo max over random balls, the fallback for d > 3.
 
-Each estimator only generates its candidate balls: the net its grid centers
-times its radii, mc its seeded ball stream, radial the data distances at each
-center. One scoring core serves all three. It counts points in balls from the
-squared distances to a block of centers, in the one form empirical_mass also
-uses, scores the balls with the one mixture-mass kernel, and keeps the first
-maximum in candidate order.
+Each estimator only generates its candidate balls and their predicted masses
+from the one mixture-mass kernel: the net its grid centers times its radii,
+scored once per distinct squared norm; mc its seeded ball stream; radial the
+data distances at each center. One scoring core serves all three. It counts
+points in balls from the squared distances to a block of centers, in the one
+form empirical_mass also uses, and keeps the first maximum in candidate order.
 
 Closed balls throughout; boundary ties count as inside.
 """
@@ -28,7 +28,13 @@ import numpy as np
 
 from . import rng
 from .datasets import PointCloud, SizeLimitError
-from .gaussmix import Ball, MixtureModel, mixture_ball_mass, mixture_masses_pairs
+from .gaussmix import (
+    Ball,
+    MixtureModel,
+    mixture_ball_mass,
+    mixture_masses_pairs,
+    mixture_masses_sq,
+)
 
 NET_SIZE_LIMIT = 10 ** 7
 # most (live atom, ball) pairs one estimate may send through the mixture-mass
@@ -320,16 +326,16 @@ def _first_max(blocks) -> tuple:
     return best
 
 
-def _best_ball(pts: np.ndarray, model: MixtureModel, blocks) -> tuple:
+def _best_ball(pts: np.ndarray, blocks) -> tuple:
     """(value, witness, emp, pred) of the first ball with the largest
-    |empirical - predicted|. ``blocks`` yields (centers (m, d), radii (m, k)),
-    at least one ball in all; ball (i, j) is B(centers[i], radii[i, j])."""
+    |empirical - predicted|. ``blocks`` yields (centers (m, d), radii (m, k),
+    predicted masses (m, k)), at least one ball in all; ball (i, j) is
+    B(centers[i], radii[i, j])."""
     n = pts.shape[0]
 
     def scored():
-        for centers, radii in blocks:
+        for centers, radii, pred in blocks:
             emp = _count_within(pts, centers, radii * radii) / n
-            pred = mixture_masses_pairs(model, centers[:, None, :], radii)
             yield np.abs(emp - pred), centers, radii, emp, pred
 
     value, (_, centers, radii, emp, pred), i = _first_max(scored())
@@ -338,20 +344,44 @@ def _best_ball(pts: np.ndarray, model: MixtureModel, blocks) -> tuple:
     return value, witness, float(emp[c, j]), float(pred[c, j])
 
 
-def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
-    """Exact max of |empirical - predicted| over the net balls."""
+def _net_blocks(model: MixtureModel, net: BallNet, threads: int = 1):
+    """(centers, radii, predicted) blocks of the grid balls in net order.
+
+    F-bar(B(c, r)) depends on c only through ||c||^2, and the symmetric
+    axis repeats squared norms: each comes about twice at d = 1, 8 times at
+    d = 2 and 48 times at d = 3. So the kernel scores a table of the
+    distinct squared norms against the radii, and each block gathers its
+    rows: every ball gets the kernel's value for the bits of its own
+    ||c||^2. The table goes to the kernel some 2^20 balls a call, which
+    bounds the per-ball arrays of a call and, at one atom, fills the
+    kernel's chunks in flight.
+    """
+    k = len(net.radii)
+    centers = list(net.center_blocks(max(1, 2**18 // k)))
+    c2 = np.concatenate([np.einsum("...j,...j->...", b, b) for b in centers])
+    uniq, row_of = np.unique(c2, return_inverse=True)
+    r2 = net.radii**2
+    table = np.empty((len(uniq), k))
+    step = max(1, 2**20 // k)
+    for s in range(0, len(uniq), step):
+        table[s : s + step] = mixture_masses_sq(model, uniq[s : s + step, None], r2, threads)
+    start = 0
+    for block in centers:
+        rows = row_of[start : start + len(block)]
+        start += len(block)
+        yield block, np.broadcast_to(net.radii, (len(block), k)), table[rows]
+
+
+def sup_over_net(
+    cloud, model: MixtureModel, net: BallNet, threads: int = 1
+) -> DiscrepancyReport:
+    """Exact max of |empirical - predicted| over the net balls; the kernel
+    runs on up to ``threads`` worker threads (0: one per CPU)."""
     pts = _as_points(cloud, net.d)
     n = pts.shape[0]
     _check_work(model, net.n_grid_balls, "the ball net", "use the mc estimator")
-    k = len(net.radii)
     if net.n_grid_balls:
-        # about 2^18 balls a block: with one atom, the kernel's scratch of
-        # some 100 B a pair stays near 25 MB
-        blocks = (
-            (block, np.broadcast_to(net.radii, (len(block), k)))
-            for block in net.center_blocks(max(1, 2**18 // k))
-        )
-        best = _best_ball(pts, model, blocks)
+        best = _best_ball(pts, _net_blocks(model, net, threads))
     else:
         # a net without grid balls still holds the ALL ball
         best = (0.0, Ball.all_space(net.d), 1.0, 1.0)
@@ -380,14 +410,17 @@ def _witness_radius_below(sq: float) -> float:
     return r
 
 
-def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyReport:
+def radial_sweep_sup(
+    cloud, model: MixtureModel, centers=None, threads: int = 1
+) -> DiscrepancyReport:
     """Exact sup over every radius at the given centers.
 
     Empirical mass at a center is a step function of the radius, so the sup
     over r of |F_n(B(x, r)) - Fbar(B(x, r))| is attained either at a data
     distance (from above) or just below one (from below); both candidate
     families are scanned per center. Default centers: the points themselves
-    plus the origin.
+    plus the origin. The kernel runs on up to ``threads`` worker threads
+    (0: one per CPU).
     """
     pts = _as_points(cloud)
     n, d = pts.shape
@@ -414,7 +447,7 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
             first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
             uniq = row[first]
             radii = np.sqrt(uniq)
-            above = below = mixture_masses_pairs(model, center[None, :], radii)
+            above = below = mixture_masses_pairs(model, center[None, :], radii, threads)
             if point_mass:
                 # the kernel puts the point masses at the origin in B(c, r)
                 # when |c|^2 <= r*r; the limits at a distance u take the
@@ -450,9 +483,11 @@ def mc_ball_sup(
     seed: int = 0,
     center_box: float = 4.0,
     max_radius: float = 6.0,
+    threads: int = 1,
 ) -> DiscrepancyReport:
     """Max discrepancy over random balls: centers uniform in the box
-    [-center_box, center_box]^d, radii uniform in (0, max_radius].
+    [-center_box, center_box]^d, radii uniform in (0, max_radius]. The
+    kernel runs on up to ``threads`` worker threads (0: one per CPU).
 
     The ball stream is a prefix: growing n_balls with the same seed keeps
     every earlier ball, so the reported value never decreases.
@@ -467,10 +502,15 @@ def mc_ball_sup(
     u = rng.stream(seed, _TAG_MC, d).random((n_balls, d + 1))
     centers = center_box * (2.0 * u[:, :d] - 1.0)
     radii = max_radius * (1.0 - u[:, d:])
-    blocks = ((centers[s : s + 512], radii[s : s + 512]) for s in range(0, n_balls, 512))
+
+    def blocks():
+        for s in range(0, n_balls, 512):
+            c, r = centers[s : s + 512], radii[s : s + 512]
+            yield c, r, mixture_masses_pairs(model, c[:, None, :], r, threads)
+
     return _report(
         "mc",
-        _best_ball(pts, model, blocks),
+        _best_ball(pts, blocks()),
         n,
         seed,
         {"n_balls": n_balls, "center_box": center_box, "max_radius": max_radius},

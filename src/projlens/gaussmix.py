@@ -15,12 +15,20 @@ in closed form on routes where nothing cancels.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import Profile
 from .special import chisq_cdf, chisq_cdf_pairs  # noqa: F401  (re-exported)
+
+# (live atom, ball) pairs per CDF call of the kernel; with one atom the
+# scratch of some 100 B a pair stays near 25 MB a chunk
+_CHUNK_PAIRS = 2**18
+# chunks one kernel call runs at once, whatever its thread count
+_MAX_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,33 +144,63 @@ def mixture_ball_mass(model: MixtureModel, ball: Ball) -> float:
     return float(mixture_masses_pairs(model, ball.center[None, :], [ball.radius])[0])
 
 
-def mixture_masses_pairs(model: MixtureModel, centers: np.ndarray, radii) -> np.ndarray:
-    """F-bar over many balls at once, the one mixture-mass kernel.
+def mixture_masses_pairs(
+    model: MixtureModel, centers: np.ndarray, radii, threads: int = 1
+) -> np.ndarray:
+    """F-bar over many balls at once: ``mixture_masses_sq`` of the squared
+    norms of ``centers`` (taken over the last axis) and the squared ``radii``.
 
-    F-bar(B(c, r)) depends only on (||c||^2, r^2), so the squared norms of
-    ``centers`` (taken over the last axis) broadcast against ``radii``: (m, d)
-    against (m,), one center (1, d) against many radii, or (m, 1, d) against
-    (m, k). The (atom, ball) pairs go through one flattened CDF call per
-    block of balls; blocks of about 2^20 pairs bound the scratch memory
-    however many balls come in.
+    The two broadcast: (m, d) against (m,), one center (1, d) against many
+    radii, or (m, 1, d) against (m, k).
     """
-    c2, r2 = np.broadcast_arrays(
+    return mixture_masses_sq(
+        model,
         np.einsum("...j,...j->...", centers, centers),
         np.asarray(radii, dtype=float) ** 2,
+        threads,
     )
+
+
+def mixture_masses_sq(model: MixtureModel, c2, r2, threads: int = 1) -> np.ndarray:
+    """F-bar(B(c, r)) from ||c||^2 and r^2, broadcast against each other; the
+    one mixture-mass kernel.
+
+    The (live atom, ball) pairs go through the CDF in chunks of about 2^18
+    pairs, one flattened call per chunk. The chunks are fixed by the input
+    alone, so the values are the same for every ``threads``. A call of two
+    or more chunks runs them on up to ``threads`` worker threads (0: one per
+    CPU), which overlap because the CDF routines release the GIL; a call of
+    one chunk runs in the caller's thread. At most four chunks run at once,
+    so the scratch stays near 2^20 pairs however many balls or threads come
+    in.
+    """
+    c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
     sigmas = model.profile.sigmas
     weights = model.profile.weights
     zero = sigmas == 0.0
-    total = weights[zero].sum() * (c2 <= r2)
+    # an array even for 0-d input, so the chunks can write through ``flat``
+    total = np.where(c2 <= r2, weights[zero].sum(), 0.0)
     s2 = sigmas[~zero, None] ** 2
     live_w = weights[~zero]
     c2, r2, flat = c2.ravel(), r2.ravel(), total.reshape(-1)
-    step = max(1, 2**20 // max(live_w.size, 1))
-    for start in range(0, flat.size, step):
+    step = max(1, _CHUNK_PAIRS // max(live_w.size, 1))
+
+    def chunk(start: int) -> None:
         lam = c2[start : start + step] / s2
         vals = chisq_cdf_pairs(model.d, lam.ravel(), (r2[start : start + step] / s2).ravel())
         flat[start : start + step] += live_w @ vals.reshape(lam.shape)
-    return np.minimum(total, 1.0)
+
+    starts = range(0, flat.size, step)
+    workers = min(threads if threads > 0 else os.cpu_count() or 1, _MAX_IN_FLIGHT, len(starts))
+    if workers <= 1:
+        for start in starts:
+            chunk(start)
+    else:
+        # chunks write disjoint slices; reading every result re-raises errors
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(chunk, starts):
+                pass
+    return np.minimum(total, 1.0, out=total)
 
 
 def mixture_second_moment(model: MixtureModel) -> float:

@@ -57,8 +57,9 @@ GAMMA_MAX_TERMS = 10 ** 6
 # visited; both are far under one unit in the last place (e^-42 ~ 6e-19)
 _LOWER_TAIL_LOG = 42.0
 _TAIL_REL = 1e-17
-# log of the smallest positive double
-_LOG_SUBNORMAL = math.log(5e-324)
+# the smallest positive double, and its log
+_SUBNORMAL = 5e-324
+_LOG_SUBNORMAL = math.log(_SUBNORMAL)
 # where a Chernoff bound puts the CDF below e^-30, _lower_tail_sum sums it
 _DEEP_TAIL_LOG = -30.0
 # below this (lam/2)(x/2) the j = 0 term is the whole Poisson mixture
@@ -249,9 +250,7 @@ def _screened(d: int, lam: np.ndarray, x: np.ndarray, bulk) -> np.ndarray:
     """The CDF at x > 0: tiny-x and deep lower-tail pairs by their own sums,
     the rest by ``bulk(x, lam)``."""
     b, half, xh = d / 2.0, lam / 2.0, x / 2.0
-    # half == 0 (lam = 0, or subnormal lam whose half underflows) and xh
-    # underflowed to 0 land here too
-    tiny = half * xh < _TINY_HX
+    tiny = _is_tiny(half, xh)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_bound = np.where(xh < b + half, _log_chernoff(b, half, xh), 0.0)
     deep = (log_bound < _DEEP_TAIL_LOG) & ~tiny
@@ -267,6 +266,16 @@ def _screened(d: int, lam: np.ndarray, x: np.ndarray, bulk) -> np.ndarray:
     return vals
 
 
+def _is_tiny(half: np.ndarray, xh: np.ndarray) -> np.ndarray:
+    """half * xh < _TINY_HX, tested as xh <= _TINY_HX / half, which forms
+    neither 0 * inf nor an overflowing product. half is floored at the
+    smallest subnormal to keep the quotient finite, so half = 0 (lam = 0, or
+    a subnormal lam whose half underflows) is tiny up to xh = 2e233, past
+    which every route gives 1. Where the quotient underflows to 0, only
+    xh = 0 is tiny, as with the product."""
+    return xh <= _TINY_HX / np.maximum(half, _SUBNORMAL)
+
+
 def _one_dof(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The d = 1 CDF at x > 0 by its closed-form routes (see the module notes)."""
     # x = inf would give inf / inf; at the largest double the CDF is 1 already
@@ -275,7 +284,7 @@ def _one_dof(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     vals = 0.5 * (sps.erf((x_c - lam) / s * _SQRT_HALF) + sps.erf(s * _SQRT_HALF))
     # the erf sum is the route for x > lam; at or below it cancels, and
     # tiny-x pairs keep their own route
-    rest = (x <= lam) | ((lam / 2.0) * (x / 2.0) < _TINY_HX)
+    rest = (x <= lam) | _is_tiny(lam / 2.0, x / 2.0)
     if rest.any():
         vals[rest] = _screened(1, lam[rest], x[rest], _one_dof_bulk)
     return vals

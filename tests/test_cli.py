@@ -203,3 +203,30 @@ def test_data_errors_exit_two(tmp_path):
     ragged.write_text("x0,x1\n1.0,2.0\n3.0\n")
     res = run_cli("project", "--in", ragged, "--d", 1, "--out", tmp_path / "o.csv")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("label", ["nan", "inf", "1e30"])
+def test_discrepancy_bad_label_exits_two(tmp_path, label):
+    bad = tmp_path / "labels.csv"
+    bad.write_text(f"x0,label\n1,{label}\n")
+    res = run_cli("discrepancy", "--in", bad, "--d", 1, "--estimator", "mc")
+    assert res.returncode == 2
+    assert "label must be an integer" in res.stderr and "row 2, column 2" in res.stderr
+
+
+def test_discrepancy_output_identical_across_threads(tmp_path):
+    # mc: 700 atoms by a 512-ball block is two kernel chunks; net: at
+    # eps = 0.4 the table of distinct squared norms holds 4e5 balls, two
+    # chunks at one atom
+    cluster = tmp_path / "tc.csv"
+    simplex = tmp_path / "sx.csv"
+    run_cli("gen", "--shape", "twocluster", "--dim", 20, "--n", 700, "--out", cluster)
+    run_cli("gen", "--shape", "simplex", "--dim", 200, "--out", simplex)
+    runs = (
+        (cluster, "--d", 2, "--estimator", "mc", "--n-balls", 1100, "--seed", 2),
+        (simplex, "--d", 1, "--estimator", "net", "--eps", 0.4, "--seed", 2),
+    )
+    for src, *args in runs:
+        outs = [run_cli("discrepancy", "--in", src, *args, "--threads", t) for t in (1, 2, 0)]
+        assert all(res.returncode == 0 for res in outs)
+        assert outs[0].stdout == outs[1].stdout == outs[2].stdout

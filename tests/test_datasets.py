@@ -248,8 +248,16 @@ def test_csv_rejects_ragged_and_text(tmp_path):
         ("x0,x1,label\n1,2,0\n3,4,1.5\n", "label must be an integer", 3, 3),
         ("x0,x1,label\n1,2,0\n3,4,one\n", "non-numeric value 'one'", 3, 3),
         ("x0,x1,x2\n1,2\n3,4\n", "header has 3 columns, data has 2", 2, None),
+        ("x0,label\n1,0\n2,nan\n", "label must be an integer", 3, 2),
+        ("x0,label\n1,inf\n", "label must be an integer", 2, 2),
+        ("x0,label\n1,0\n2,-inf\n", "label must be an integer", 3, 2),
+        ("x0,label\n1,1e30\n", "label must be an integer", 2, 2),
+        ("x0,label\n1,9223372036854775808\n", "label must be an integer", 2, 2),
     ],
-    ids=["ragged", "text-before-ragged", "nan", "inf", "label", "label-text", "header"],
+    ids=[
+        "ragged", "text-before-ragged", "nan", "inf", "label", "label-text", "header",
+        "label-nan", "label-inf", "label-minus-inf", "label-huge", "label-2-63",
+    ],
 )
 def test_csv_error_positions(tmp_path, text, message, row, col):
     bad = tmp_path / "bad.csv"

@@ -481,3 +481,48 @@ def test_report_json_round_trip():
         assert again == hand
         tag = hand.to_json()["witness"]["radius"]
         assert tag == ("ALL" if special.is_all else "EMPTY")
+
+
+@pytest.mark.parametrize("d, c, eps_o", [(1, 2.0, 0.1), (2, 1.5, 0.3), (3, 1.0, 0.45)])
+def test_net_table_gives_every_ball_its_own_mass(d, c, eps_o):
+    # sup_over_net scores each distinct squared norm once; every grid ball
+    # must still get, bit for bit, the mass of its own ball, point mass at
+    # the origin and far centers (deep lower tail) included
+    from projlens.discrepancy import _net_blocks
+
+    model = MixtureModel(Profile.from_scales([0.0, 0.05, 0.3, 1.0]), d)
+    net = build_ball_net(d, c, eps_o)
+    balls = iter(net)
+    for centers, radii, pred in _net_blocks(model, net, threads=2):
+        for i, j in np.ndindex(pred.shape):
+            ball = next(balls)
+            assert np.array_equal(centers[i], ball.center) and radii[i, j] == ball.radius
+            assert pred[i, j] == mixture_ball_mass(model, ball)
+    assert next(balls).is_all
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sup_over_net_is_first_max_over_every_ball(d):
+    gen = np.random.default_rng(d)
+    pts = np.round(gen.normal(size=(40, d)) * 4.0) / 4.0
+    model = MixtureModel(Profile.from_scales([0.0, 0.5, 1.0]), d)
+    net = build_ball_net(d, 1.0, 0.25 if d < 3 else 0.3)
+    want, witness = -1.0, None
+    for ball in net:
+        value = abs(empirical_mass(pts, ball) - mixture_ball_mass(model, ball))
+        if value > want:
+            want, witness = value, ball
+    for threads in (1, 2):
+        report = sup_over_net(pts, model, net, threads=threads)
+        assert report.value == want
+        assert report.witness == witness
+
+
+def test_radial_sweep_identical_across_threads():
+    # 600 atoms by 600 distances is two kernel chunks per center
+    cloud = center(gen_two_cluster(20, 600, 4.0, seed=3))
+    model = MixtureModel(profile(cloud), 2)
+    proj = apply(sample_projection(2, 20, 3), cloud)
+    centers = proj.data[:3]
+    serial = radial_sweep_sup(proj, model, centers=centers, threads=1)
+    assert radial_sweep_sup(proj, model, centers=centers, threads=2) == serial

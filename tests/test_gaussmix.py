@@ -162,6 +162,28 @@ def test_batched_masses_match_scalar():
     assert np.max(np.abs(at - want_at)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_masses_identical_across_threads(d):
+    # 600 atoms by 1500 balls is four chunks of the kernel, so threads=2
+    # runs them on the pool
+    gen = np.random.default_rng(d)
+    model = MixtureModel(Profile.from_scales(gen.uniform(0.05, 2.0, 600)), d)
+    centers = gen.normal(size=(1500, d)) * 2
+    radii = gen.uniform(0.0, 4.0, 1500)
+    serial = mixture_masses_pairs(model, centers, radii, threads=1)
+    for threads in (2, 0):
+        got = mixture_masses_pairs(model, centers, radii, threads=threads)
+        assert got.tobytes() == serial.tobytes()
+
+
+def test_masses_of_one_center_and_one_radius():
+    # a (d,) center against a scalar radius is one ball, not its point mass
+    model = _model([0.0, 1.0], [0.25, 0.75], 2)
+    ball = Ball(np.array([0.5, 0.0]), 1.0)
+    got = mixture_masses_pairs(model, ball.center, ball.radius)
+    assert got.shape == () and got == mixture_ball_mass(model, ball)
+
+
 def test_second_moment_arithmetic():
     assert mixture_second_moment(_model([1.0], [1.0], 2)) == pytest.approx(2.0, rel=1e-14)
     assert mixture_second_moment(_model([1.0, 3.0], [0.5, 0.5], 1)) == pytest.approx(

@@ -1,6 +1,7 @@
 """Chi-square CDF tests against closed forms, scipy, mpmath and frozen MC counts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,19 @@ def test_pairs_path_agrees_with_scalar(d):
     got = chisq_cdf_pairs(d, lams, xs)
     want = np.array([chisq_cdf(d, l, x) for l, x in zip(lams, xs)])
     assert np.max(np.abs(got - want)) < 1e-11
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_pairs_extreme_pairs_raise_no_warning(d):
+    # the tiny-x test must form neither 0 * inf (lam = 0, x = inf) nor an
+    # overflowing product (lam = 1e10, x = 1e300); x / 2 underflowing to 0
+    # keeps the pair in the tiny region, where the CDF is e^-(lam/2) = 0
+    lams = [0.0, 1e10, 1e300, 3.0]
+    xs = [math.inf, 1e300, 5e-324, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = chisq_cdf_pairs(d, lams, xs)
+    assert got.tolist() == [1.0, 1.0, 0.0, 1.0]
 
 
 def test_reg_lower_gamma_against_scipy():
