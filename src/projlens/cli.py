@@ -213,7 +213,7 @@ def _cmd_discrepancy(args) -> int:
         net = build_ball_net(args.d, npar.c, npar.eps_o)
         report = sup_over_net(proj, model, net, threads=args.threads)
     elif args.estimator == "radial":
-        report = radial_sweep_sup(proj, model, threads=args.threads)
+        report = radial_sweep_sup(proj, model)
     else:
         box, max_radius = mc_box(model, args.center_box)
         if args.max_radius is not None:

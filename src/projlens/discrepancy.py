@@ -352,9 +352,11 @@ def _net_blocks(model: MixtureModel, net: BallNet, threads: int = 1):
     d = 2 and 48 times at d = 3. So the kernel scores a table of the
     distinct squared norms against the radii, and each block gathers its
     rows: every ball gets the kernel's value for the bits of its own
-    ||c||^2. The table goes to the kernel some 2^20 balls a call, which
-    bounds the per-ball arrays of a call and, at one atom, fills the
-    kernel's chunks in flight.
+    ||c||^2. The table goes to the kernel some 2^19 balls a call, which
+    bounds the per-ball arrays of a call. It holds one double per distinct
+    norm and radius, so unlike the blocks it grows with the net: about
+    n_grid_balls / 2 doubles at d = 1 (38 MB at NET_SIZE_LIMIT), far fewer at
+    d >= 2.
     """
     k = len(net.radii)
     centers = list(net.center_blocks(max(1, 2**18 // k)))
@@ -362,7 +364,7 @@ def _net_blocks(model: MixtureModel, net: BallNet, threads: int = 1):
     uniq, row_of = np.unique(c2, return_inverse=True)
     r2 = net.radii**2
     table = np.empty((len(uniq), k))
-    step = max(1, 2**20 // k)
+    step = max(1, 2**19 // k)
     for s in range(0, len(uniq), step):
         table[s : s + step] = mixture_masses_sq(model, uniq[s : s + step, None], r2, threads)
     start = 0
@@ -410,17 +412,14 @@ def _witness_radius_below(sq: float) -> float:
     return r
 
 
-def radial_sweep_sup(
-    cloud, model: MixtureModel, centers=None, threads: int = 1
-) -> DiscrepancyReport:
+def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyReport:
     """Exact sup over every radius at the given centers.
 
     Empirical mass at a center is a step function of the radius, so the sup
     over r of |F_n(B(x, r)) - Fbar(B(x, r))| is attained either at a data
     distance (from above) or just below one (from below); both candidate
     families are scanned per center. Default centers: the points themselves
-    plus the origin. The kernel runs on up to ``threads`` worker threads
-    (0: one per CPU).
+    plus the origin.
     """
     pts = _as_points(cloud)
     n, d = pts.shape
@@ -447,7 +446,7 @@ def radial_sweep_sup(
             first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
             uniq = row[first]
             radii = np.sqrt(uniq)
-            above = below = mixture_masses_pairs(model, center[None, :], radii, threads)
+            above = below = mixture_masses_pairs(model, center[None, :], radii)
             if point_mass:
                 # the kernel puts the point masses at the origin in B(c, r)
                 # when |c|^2 <= r*r; the limits at a distance u take the

@@ -25,10 +25,11 @@ from .datasets import Profile
 from .special import chisq_cdf, chisq_cdf_pairs  # noqa: F401  (re-exported)
 
 # (live atom, ball) pairs per CDF call of the kernel; with one atom the
-# scratch of some 100 B a pair stays near 25 MB a chunk
-_CHUNK_PAIRS = 2**18
-# chunks one kernel call runs at once, whatever its thread count
-_MAX_IN_FLIGHT = 4
+# scratch of some 100 B a pair stays near 13 MB a chunk
+_CHUNK_PAIRS = 2**17
+# chunks one kernel call runs at once, whatever its thread count or the
+# machine's CPU count, so the scratch in flight stays near 25 MB
+_MAX_IN_FLIGHT = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +166,14 @@ def mixture_masses_sq(model: MixtureModel, c2, r2, threads: int = 1) -> np.ndarr
     """F-bar(B(c, r)) from ||c||^2 and r^2, broadcast against each other; the
     one mixture-mass kernel.
 
-    The (live atom, ball) pairs go through the CDF in chunks of about 2^18
+    The (live atom, ball) pairs go through the CDF in chunks of about 2^17
     pairs, one flattened call per chunk. The chunks are fixed by the input
     alone, so the values are the same for every ``threads``. A call of two
     or more chunks runs them on up to ``threads`` worker threads (0: one per
     CPU), which overlap because the CDF routines release the GIL; a call of
-    one chunk runs in the caller's thread. At most four chunks run at once,
-    so the scratch stays near 2^20 pairs however many balls or threads come
-    in.
+    one chunk runs in the caller's thread. At most two chunks run at once,
+    so the scratch stays near 2^18 pairs however many balls, threads or
+    CPUs there are.
     """
     c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
     sigmas = model.profile.sigmas

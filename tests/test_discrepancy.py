@@ -517,12 +517,3 @@ def test_sup_over_net_is_first_max_over_every_ball(d):
         assert report.value == want
         assert report.witness == witness
 
-
-def test_radial_sweep_identical_across_threads():
-    # 600 atoms by 600 distances is two kernel chunks per center
-    cloud = center(gen_two_cluster(20, 600, 4.0, seed=3))
-    model = MixtureModel(profile(cloud), 2)
-    proj = apply(sample_projection(2, 20, 3), cloud)
-    centers = proj.data[:3]
-    serial = radial_sweep_sup(proj, model, centers=centers, threads=1)
-    assert radial_sweep_sup(proj, model, centers=centers, threads=2) == serial

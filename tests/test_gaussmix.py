@@ -164,7 +164,7 @@ def test_batched_masses_match_scalar():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_masses_identical_across_threads(d):
-    # 600 atoms by 1500 balls is four chunks of the kernel, so threads=2
+    # 600 atoms by 1500 balls is seven chunks of the kernel, so threads=2
     # runs them on the pool
     gen = np.random.default_rng(d)
     model = MixtureModel(Profile.from_scales(gen.uniform(0.05, 2.0, 600)), d)
@@ -174,6 +174,34 @@ def test_masses_identical_across_threads(d):
     for threads in (2, 0):
         got = mixture_masses_pairs(model, centers, radii, threads=threads)
         assert got.tobytes() == serial.tobytes()
+
+
+def test_kernel_runs_at_most_two_chunks_at_once(monkeypatch):
+    # the scratch in flight is bounded whatever the thread count asks for
+    import threading
+    import time
+
+    from projlens import gaussmix
+
+    lock, running, peak = threading.Lock(), [0], [0]
+    cdf = gaussmix.chisq_cdf_pairs
+
+    def counted(d, lam, x):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.02)
+        with lock:
+            running[0] -= 1
+        return cdf(d, lam, x)
+
+    monkeypatch.setattr(gaussmix, "chisq_cdf_pairs", counted)
+    model = _model([1.0], [1.0], 1)
+    c2 = np.linspace(0.0, 4.0, 6 * gaussmix._CHUNK_PAIRS)
+    got = gaussmix.mixture_masses_sq(model, c2, 1.0, threads=8)
+    assert peak[0] == 2
+    monkeypatch.setattr(gaussmix, "chisq_cdf_pairs", cdf)
+    assert got.tobytes() == gaussmix.mixture_masses_sq(model, c2, 1.0).tobytes()
 
 
 def test_masses_of_one_center_and_one_radius():
