@@ -20,8 +20,9 @@ from .special import gamma_ppf
 
 PROFILE_MERGE_TOL = 1e-12
 EXHAUSTIVE_CUBE_MAX_DIM = 20
-_POWER_ITERATION_TOL = 1e-12
-_POWER_ITERATION_MAX = 20000
+# covariance eigenpairs come from a dense eigh up to this dimension and from
+# ARPACK past it, where the dense solver's cubic cost takes over
+_DENSE_EIGH_MAX_DIM = 512
 
 
 class CsvFormatError(ValueError):
@@ -320,68 +321,61 @@ def profile(cloud: PointCloud) -> Profile:
 def spectrum(cloud: PointCloud) -> SpectrumSummary:
     """lambda_max and lambda_avg of the empirical covariance X^T X / n.
 
-    lambda_avg is the mean squared row norm over D (no covariance matrix is
-    formed); lambda_max comes from power iteration on matvecs v -> X^T(Xv)/n.
+    lambda_avg is the mean squared row norm over D (``mean_eigenvalue``);
+    lambda_max is the top eigenvalue from ``_top_eigenpairs``: LAPACK's
+    ``eigh`` (through numpy) up to D = 512, ARPACK's ``eigsh`` on matvecs
+    v -> X^T(Xv)/n past it.
     """
     if not cloud.centered:
         warnings.warn("spectrum of an uncentered cloud; center() it first", UserWarning)
     lam_avg = mean_eigenvalue(cloud)
     if lam_avg == 0.0:
         return SpectrumSummary(0.0, 0.0, cloud.dim)
-    lam_max = _power_iteration_top(cloud.data)
-    return SpectrumSummary(lam_max, lam_avg, cloud.dim)
+    lam_max, _ = _top_eigenpairs(cloud.data, 1)
+    return SpectrumSummary(float(lam_max[0]), lam_avg, cloud.dim)
 
 
 def mean_eigenvalue(cloud: PointCloud) -> float:
-    """lambda_avg of ``spectrum``, without its power iteration: the mean
+    """lambda_avg of ``spectrum``, without an eigensolver: the mean
     eigenvalue of X^T X / n, which is the mean squared row norm over D."""
     X = cloud.data
     n, D = X.shape
     return float((X * X).sum() / (n * D))
 
 
-def _power_iteration_vector(X: np.ndarray, deflate=(), seed_tag: int = 0):
-    """Top eigenpair of X^T X / n after deflating the given (lam, vec) pairs."""
+def _top_eigenpairs(X: np.ndarray, k: int):
+    """Top k eigenvalues of X^T X / n, descending and floored at 0, and their
+    unit eigenvectors as the rows of a (k, D) array, each with its
+    largest-magnitude entry positive.
+
+    Up to D = _DENSE_EIGH_MAX_DIM (or for all D eigenpairs) numpy's dense
+    ``eigh`` of the D x D covariance; past it, whose cost is cubic in D,
+    ARPACK's ``eigsh`` on matvecs from a seeded normal start (a fixed start
+    such as all ones can be orthogonal to the top eigenspace of a symmetric
+    cloud). ARPACK refuses the zero operator, whose every unit vector is an
+    eigenvector, so a zero X takes the first k axes.
+    """
     n, D = X.shape
-    gen = rng.stream(0x504f5745, seed_tag, D)
-    v = rng.normals(gen, D)
-    for lam_i, u in deflate:
-        v -= (u @ v) * u
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:  # pragma: no cover - measure-zero start
-        v = np.ones(D)
-        nrm = np.linalg.norm(v)
-    v /= nrm
+    if D <= _DENSE_EIGH_MAX_DIM or k == D:
+        # numpy's, not scipy.linalg's subset eigh: importing scipy.linalg
+        # costs 60 ms, more than all D pairs take at D = 512 (40 ms)
+        lam, vec = np.linalg.eigh(X.T @ X / n)
+        lam, vec = lam[D - k :], vec[:, D - k :]
+    elif not X.any():
+        lam, vec = np.zeros(k), np.eye(D, k)
+    else:
+        # imported here: it costs 90 ms, which CLI commands that never reach
+        # this route would pay at start-up
+        from scipy.sparse.linalg import LinearOperator, eigsh
 
-    def matvec(u):
-        w = X.T @ (X @ u) / n
-        for lam_i, q in deflate:
-            w -= lam_i * (q @ u) * q
-        return w
-
-    lam = 0.0
-    for _ in range(_POWER_ITERATION_MAX):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            lam = 0.0
-            break
-        v_new = w / norm
-        lam_new = float(v_new @ matvec(v_new))
-        done = abs(lam_new - lam) <= _POWER_ITERATION_TOL * max(abs(lam_new), 1e-30)
-        v, lam = v_new, lam_new
-        if done:
-            break
-    # Deterministic sign: largest-magnitude entry positive.
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
-    return max(lam, 0.0), v
-
-
-def _power_iteration_top(X: np.ndarray) -> float:
-    lam, _ = _power_iteration_vector(X)
-    return lam
+        op = LinearOperator((D, D), matvec=lambda v: X.T @ (X @ v) / n, dtype=float)
+        v0 = rng.normals(rng.stream(0x504f5745, 0, D), D)
+        lam, vec = eigsh(op, k=k, which="LA", tol=0, v0=v0)
+    # both solvers return ascending eigenvalues
+    lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1].T
+    top = vec[np.arange(k), np.argmax(np.abs(vec), axis=1)]
+    vec[top < 0] *= -1.0
+    return lam, vec
 
 
 def sigma_epsilon(prof: Profile, eps: float) -> float:

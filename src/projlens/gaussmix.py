@@ -181,15 +181,17 @@ def mixture_masses_sq(model: MixtureModel, c2, r2, threads: int = 1) -> np.ndarr
     zero = sigmas == 0.0
     # an array even for 0-d input, so the chunks can write through ``flat``
     total = np.where(c2 <= r2, weights[zero].sum(), 0.0)
-    s2 = sigmas[~zero, None] ** 2
+    s2 = sigmas[~zero] ** 2
     live_w = weights[~zero]
-    c2, r2, flat = c2.ravel(), r2.ravel(), total.reshape(-1)
+    c2, r2, flat = c2.reshape(-1, 1), r2.reshape(-1, 1), total.reshape(-1)
     step = max(1, _CHUNK_PAIRS // max(live_w.size, 1))
 
     def chunk(start: int) -> None:
+        # (ball, atom) rows, each summed on its own: a ball's mass then does
+        # not depend on how many balls share its chunk
         lam = c2[start : start + step] / s2
         vals = chisq_cdf_pairs(model.d, lam.ravel(), (r2[start : start + step] / s2).ravel())
-        flat[start : start + step] += live_w @ vals.reshape(lam.shape)
+        flat[start : start + step] += (vals.reshape(lam.shape) * live_w).sum(axis=1)
 
     starts = range(0, flat.size, step)
     workers = min(threads if threads > 0 else os.cpu_count() or 1, _MAX_IN_FLIGHT, len(starts))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datasets import PointCloud, center
+from .datasets import PointCloud, _top_eigenpairs, center
 
 MODES = ("random", "orthonormal", "pca")
 _RANK_TOL = 1e-12
@@ -61,17 +61,18 @@ def sample_projection(d: int, D: int, seed: int = 0) -> ProjectionMap:
 
 
 def orthonormalize(pmap: ProjectionMap) -> ProjectionMap:
-    """Gram-Schmidt on the rows; the result applies without 1/sqrt(D) scaling."""
-    theta = np.array(pmap.theta, dtype=float)
-    for i in range(theta.shape[0]):
-        scale = np.linalg.norm(theta[i])
-        for j in range(i):
-            theta[i] -= (theta[j] @ theta[i]) * theta[j]
-        norm = np.linalg.norm(theta[i])
-        if norm <= _RANK_TOL * max(scale, 1.0):
-            raise ValueError(f"projection rows are rank deficient at row {i}")
-        theta[i] /= norm
-    return ProjectionMap(theta, "orthonormal", pmap.seed)
+    """The Gram-Schmidt basis of the rows, from a QR factorization of theta^T
+    with diag R made positive; the result applies without 1/sqrt(D) scaling.
+
+    Raises ValueError at the first row i with |R_ii| <= 1e-12 max(|theta_i|, 1).
+    """
+    q, r = np.linalg.qr(pmap.theta.T)
+    diag = np.diag(r)
+    scale = np.maximum(np.linalg.norm(pmap.theta, axis=1), 1.0)
+    deficient = np.flatnonzero(np.abs(diag) <= _RANK_TOL * scale)
+    if deficient.size:
+        raise ValueError(f"projection rows are rank deficient at row {deficient[0]}")
+    return ProjectionMap((q * np.sign(diag)).T, "orthonormal", pmap.seed)
 
 
 def apply(pmap: ProjectionMap, cloud: PointCloud) -> PointCloud:
@@ -85,47 +86,28 @@ def apply(pmap: ProjectionMap, cloud: PointCloud) -> PointCloud:
 
 
 def pca_project(cloud: PointCloud, d: int, seed: int = 0):
-    """Project onto the top-d covariance eigenvectors (power iteration).
+    """Project onto the top-d covariance eigenvectors.
 
-    Returns (projected_cloud, map). Components are orthonormal with a
-    deterministic sign (largest-magnitude entry positive). When the gap
-    between eigenvalues d and d+1 falls below 1e-12 an EigengapWarning is
-    issued; the projection is still returned.
+    Returns (projected_cloud, map). The eigenpairs come from
+    ``datasets._top_eigenpairs`` (numpy's ``eigh`` up to D = 512, ARPACK
+    ``eigsh`` past it), so they do not depend on ``seed``, which only labels
+    the map. Components are orthonormal with a deterministic sign
+    (largest-magnitude entry positive). When the gap between eigenvalues d
+    and d+1 falls below 1e-12 an EigengapWarning is issued; the projection
+    is still returned.
     """
-    from .datasets import _power_iteration_vector
-
     if cloud.n < 2:
         raise ValueError("PCA needs at least two rows")
     if not (1 <= d <= cloud.dim):
         raise ValueError(f"need 1 <= d <= D, got d={d}, D={cloud.dim}")
     work = center(cloud)
-    X = work.data
-    comps: list[np.ndarray] = []
-    lams: list[float] = []
-    pairs: list[tuple[float, np.ndarray]] = []
-    extra = 1 if cloud.dim > d else 0
-    for i in range(d + extra):
-        lam, v = _power_iteration_vector(X, deflate=tuple(pairs), seed_tag=seed + i)
-        # Re-orthogonalize against earlier components; deflation alone can
-        # leave fp dust when eigenvalues coincide.
-        for u in comps:
-            v = v - (u @ v) * u
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            v = v / nrm
-        k = int(np.argmax(np.abs(v)))
-        if v[k] < 0:
-            v = -v
-        pairs.append((lam, v))
-        comps.append(v)
-        lams.append(lam)
-    if extra and lams[d - 1] - lams[d] < EIGENGAP_TOL:
+    lams, comps = _top_eigenpairs(work.data, d + 1 if cloud.dim > d else d)
+    if lams.size > d and lams[d - 1] - lams[d] < EIGENGAP_TOL:
         warnings.warn(
             f"eigengap {lams[d - 1] - lams[d]:.3e} between components {d} and {d + 1}",
             EigengapWarning,
         )
-    theta = np.vstack(comps[:d])
-    pmap = ProjectionMap(theta, "pca", seed)
+    pmap = ProjectionMap(comps[:d], "pca", seed)
     return apply(pmap, work), pmap
 
 

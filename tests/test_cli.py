@@ -230,3 +230,20 @@ def test_discrepancy_output_identical_across_threads(tmp_path):
         outs = [run_cli("discrepancy", "--in", src, *args, "--threads", t) for t in (1, 2, 0)]
         assert all(res.returncode == 0 for res in outs)
         assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+
+
+def test_eigensolver_outputs_identical_across_reruns_and_threads(tmp_path):
+    # D = 600 is past the dense eigh cut, so gen's lambda_max and the PCA map
+    # come from ARPACK
+    outs = []
+    for sub, threads in (("a", 1), ("b", 2), ("c", 1)):
+        work = tmp_path / sub
+        work.mkdir()
+        gen = run_cli("gen", "--shape", "cube", "--dim", 600, "--n", 1500,
+                      "--out", "cube.csv", "--threads", threads, cwd=work)
+        proj = run_cli("project", "--in", "cube.csv", "--d", 2, "--mode", "pca",
+                       "--out", "p.csv", "--threads", threads, cwd=work)
+        assert gen.returncode == 0 and proj.returncode == 0
+        names = ("cube.csv", "p.csv", "p_map.csv", "p_map.json")
+        outs.append((gen.stdout, proj.stdout, [(work / n).read_bytes() for n in names]))
+    assert outs[0] == outs[1] == outs[2]

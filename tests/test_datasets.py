@@ -202,6 +202,21 @@ def test_spectrum_scales_quadratically():
     assert base.lambda_avg <= base.lambda_max
 
 
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        gen_cube(64, n=5000, seed=0),  # dense route
+        gen_cube(600, n=3000, seed=0),  # ARPACK route
+        gen_simplex(1000),  # ARPACK route, covariance c I
+    ],
+    ids=["cube64", "cube600", "simplex1000"],
+)
+def test_spectrum_lambda_max_matches_eigvalsh(cloud):
+    src = center(cloud)
+    want = np.linalg.eigvalsh(src.data.T @ src.data / src.n)[-1]
+    assert spectrum(src).lambda_max == pytest.approx(want, rel=1e-12)
+
+
 def test_sigma_epsilon_reads_cumulative_weight():
     single = Profile(np.array([1.0]), np.array([1.0]))
     for eps in (0.05, 0.5, 1.0):

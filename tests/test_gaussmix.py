@@ -174,6 +174,9 @@ def test_masses_identical_across_threads(d):
     for threads in (2, 0):
         got = mixture_masses_pairs(model, centers, radii, threads=threads)
         assert got.tobytes() == serial.tobytes()
+    # and a ball scored alone gets the same bits as in a chunk of many
+    alone = [mixture_ball_mass(model, Ball(c, r)) for c, r in zip(centers[::3], radii[::3])]
+    assert np.array(alone).tobytes() == serial[::3].tobytes()
 
 
 def test_kernel_runs_at_most_two_chunks_at_once(monkeypatch):

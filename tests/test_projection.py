@@ -59,6 +59,22 @@ def test_orthonormalize_idempotent_and_normalizing():
     assert np.allclose(unit, one.theta / np.linalg.norm(one.theta))
 
 
+def _gram_schmidt(theta):
+    out = np.array(theta, dtype=float)
+    for i in range(out.shape[0]):
+        for j in range(i):
+            out[i] -= (out[j] @ out[i]) * out[j]
+        out[i] /= np.linalg.norm(out[i])
+    return out
+
+
+def test_orthonormalize_equals_gram_schmidt():
+    for d, D, seed in ((1, 20, 1), (3, 100, 0), (8, 9, 5)):
+        pmap = sample_projection(d, D, seed=seed)
+        got = orthonormalize(pmap).theta
+        assert np.max(np.abs(got - _gram_schmidt(pmap.theta))) < 1e-12
+
+
 def test_orthonormalize_rejects_rank_deficient():
     from projlens import ProjectionMap
 
@@ -155,10 +171,41 @@ def test_pca_exact_on_embedded_subspace():
     assert np.max(np.abs(recon - cloud.data)) < 1e-9
 
 
+@pytest.mark.parametrize("D", [40, 600])  # dense and ARPACK routes
+def test_pca_rows_are_top_eigenvectors(D):
+    # column scales 5, 4, 3, then 1: a clear gap after each of the top three
+    scales = np.ones(D)
+    scales[:3] = (5.0, 4.0, 3.0)
+    data = np.random.default_rng(D).standard_normal((1200, D)) * scales
+    cloud = center(PointCloud(data))
+    _, pmap = pca_project(cloud, 3, seed=0)
+    assert np.max(np.abs(pmap.theta @ pmap.theta.T - np.eye(3))) < 1e-12
+    _, vecs = np.linalg.eigh(cloud.data.T @ cloud.data / cloud.n)
+    cosines = np.abs(np.sum(pmap.theta * vecs[:, ::-1][:, :3].T, axis=1))
+    assert np.all(cosines >= 1 - 1e-12)
+
+
 def test_pca_warns_on_degenerate_gap():
     cloud = gen_cross_polytope(6)
     with pytest.warns(EigengapWarning):
         pca_project(cloud, 2, seed=0)
+
+
+def test_pca_onto_every_axis_past_the_cut():
+    # ARPACK cannot return all D eigenpairs, so d = D takes the dense route
+    cloud = center(PointCloud(np.random.default_rng(3).standard_normal((600, 520))))
+    proj, pmap = pca_project(cloud, 520, seed=0)
+    assert np.max(np.abs(pmap.theta @ pmap.theta.T - np.eye(520))) < 1e-12
+    assert np.allclose(np.linalg.norm(proj.data, axis=1), np.linalg.norm(cloud.data, axis=1))
+
+
+@pytest.mark.parametrize("D", [5, 600])
+def test_pca_of_a_constant_cloud(D):
+    # the covariance is zero, which ARPACK refuses past the dense cut
+    with pytest.warns(EigengapWarning):
+        proj, pmap = pca_project(PointCloud(np.ones((3, D))), 2, seed=0)
+    assert np.max(np.abs(pmap.theta @ pmap.theta.T - np.eye(2))) < 1e-12
+    assert np.all(proj.data == 0.0)
 
 
 def test_gaussian_sample_moments_and_zero_sigma():

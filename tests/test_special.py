@@ -9,7 +9,19 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlens import chisq_cdf, chisq_cdf_pairs, gamma_ppf, norm_cdf, reg_lower_gamma
+from projlens import (
+    Ball,
+    MixtureModel,
+    Profile,
+    chisq_cdf,
+    chisq_cdf_pairs,
+    gamma_ppf,
+    mixture_ball_mass,
+    norm_cdf,
+    nu_ball_mass,
+    reg_lower_gamma,
+)
+from projlens.special import _convolved
 
 from _oracles import chisq1_central_cdf, chisq2_central_cdf, normal_cdf
 
@@ -248,6 +260,32 @@ def test_pairs_extreme_pairs_raise_no_warning(d):
         warnings.simplefilter("error")
         got = chisq_cdf_pairs(d, lams, xs)
     assert got.tolist() == [1.0, 1.0, 0.0, 1.0]
+
+
+def test_nan_pairs_of_chndtr_take_the_convolution():
+    # chndtr(1e12, 2, 1e12) is nan: the sigma = 1e-8 atom meets a ball whose
+    # boundary passes through the origin, at lam = x = 1e16
+    ball = Ball(np.array([1.0, 0.0]), 1.0)
+    got = mixture_ball_mass(MixtureModel(Profile.from_scales([1e-8, 1.0]), 2), ball)
+    assert math.isfinite(got)
+    assert got == pytest.approx(0.5 * 0.5 + 0.5 * nu_ball_mass(1.0, ball), abs=1e-7)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_convolution_agrees_with_chndtr_where_it_is_finite(d):
+    lam = 1e10
+    for t in (-2.0, 0.0, 2.0):
+        x = lam + d + t * math.sqrt(2 * (d + 2 * lam))
+        assert _convolved(d, lam, x) == pytest.approx(sps.chndtr(x, d, lam), abs=1e-11)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("lam", [1e11, 1e12, 1e14])
+def test_huge_noncentrality_is_normal(d, lam):
+    ts = np.array([-2.0, 0.0, 2.0])
+    xs = lam + d + ts * math.sqrt(2 * (d + 2 * lam))
+    got = chisq_cdf_pairs(d, np.full(3, lam), xs)
+    assert np.max(np.abs(got - sps.ndtr(ts))) < 1e-5
 
 
 def test_reg_lower_gamma_against_scipy():
