@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import shlex
 import sys
@@ -109,12 +110,15 @@ def _strip_threads(tokens: list[str]) -> list[str]:
 
 
 def _build_cloud(shape: str, args) -> PointCloud:
+    # an experiment's --seed is absent unless given; the generator's own
+    # default then applies
+    seeded = {"seed": args.seed} if "seed" in args else {}
     if shape == "simplex":
         return gen_simplex(args.dim)
     if shape == "crosspolytope":
         return gen_cross_polytope(args.dim)
     if shape == "cube":
-        return gen_cube(args.dim, n=args.n, seed=args.seed)
+        return gen_cube(args.dim, n=args.n, **seeded)
     if shape == "spherical":
         if args.n is None:
             raise ValueError("spherical needs --n")
@@ -122,11 +126,11 @@ def _build_cloud(shape: str, args) -> PointCloud:
             law = PowerExponentialLaw(beta=args.beta, scale=args.scale)
         else:
             law = AtomLaw(sigma=args.sigma)
-        return gen_spherical(args.dim, args.n, law, seed=args.seed)
+        return gen_spherical(args.dim, args.n, law, **seeded)
     if shape == "twocluster":
         if args.n is None:
             raise ValueError("twocluster needs --n")
-        return gen_two_cluster(args.dim, args.n, args.s, seed=args.seed)
+        return gen_two_cluster(args.dim, args.n, args.s, **seeded)
     raise ValueError(f"unknown shape {shape!r}")
 
 
@@ -294,9 +298,9 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         grid = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"grid must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid must be comma-separated integers, got {text!r}")
     if not grid:
-        raise ValueError("grid must be nonempty")
+        raise argparse.ArgumentTypeError("grid must be nonempty")
     return grid
 
 
@@ -312,68 +316,69 @@ def _experiment_cloud(args) -> PointCloud:
     raise ValueError("this experiment needs --in or --shape")
 
 
+# each experiment's runner and the flags it takes on top of --seed, --threads
+# and --out-dir; a runner that takes a cloud also gets the cloud's flags:
+# --in, or gen's --shape, --dim, --n and --s
+_EXPERIMENTS = {
+    "figure4": (run_figure4, "--dim --d --n-balls --center-box --max-radius --n-seeds"),
+    "decay": (run_decay, "--shape --d --grid --estimator --n --n-balls --n-seeds"),
+    "cube1d": (run_cube1d, "--grid --n --n-seeds"),
+    "twocluster": (run_twocluster, "--s --dim --d --n --n-balls --eps --n-seeds"),
+    "residual_variance": (run_residual_variance, "--rule --standardize"),
+    "profile_table": (run_profile_table, ""),
+}
+# every runner flag; each dest is the runner's keyword
+_RUNNER_FLAGS = {
+    "--dim": {"dest": "D", "type": int, "help": "source dimension D"},
+    "--d": {"type": int, "help": "projected dimension"},
+    "--n": {"type": int, "help": "row count"},
+    "--s": {"type": float, "help": "two-cluster separation"},
+    "--shape": {"choices": GEN_SHAPES},
+    "--grid": {"type": _parse_grid, "help": "comma-separated dimension grid"},
+    "--estimator": {"choices": ("radial", "mc")},
+    "--n-balls": {"type": int, "help": "mc ball count"},
+    "--center-box": {"type": float, "help": "mc center box half-width"},
+    "--max-radius": {"type": float, "help": "mc maximum ball radius"},
+    "--eps": {"type": float, "help": "eccentricity tightness level"},
+    "--n-seeds": {"type": int, "help": "seed count, from --seed up"},
+    "--rule": {"choices": ("least", "most"), "help": "coordinate order"},
+    "--standardize": {"action": "store_true", "help": "scale coordinates to unit variance"},
+}
+
+
+def _takes(runner, keyword: str) -> bool:
+    return keyword in inspect.signature(runner).parameters
+
+
 def _cmd_experiment(args) -> int:
-    name = args.name
-    grid = _parse_grid(args.grid) if args.grid else None
-    common = {"seed": args.seed, "n_seeds": args.n_seeds, "threads": args.threads}
-    if name == "figure4":
-        result = run_figure4(
-            D=args.dim if args.dim is not None else 1000,
-            d=args.d if args.d is not None else 2,
-            n_balls=args.n_balls if args.n_balls is not None else 10_000,
-            center_box=args.center_box if args.center_box is not None else 4.0,
-            max_radius=args.max_radius if args.max_radius is not None else 6.0,
-            **common,
-        )
-    elif name == "decay":
-        result = run_decay(
-            shape=args.shape or "simplex",
-            d=args.d if args.d is not None else 1,
-            grid=grid or (100, 300, 1000, 3000),
-            estimator=args.estimator,
-            n=args.n,
-            n_balls=args.n_balls if args.n_balls is not None else 4000,
-            **common,
-        )
-    elif name == "cube1d":
-        result = run_cube1d(
-            grid=grid or (64, 256, 1024, 4096),
-            n=args.n if args.n is not None else 5000,
-            **common,
-        )
-    elif name == "twocluster":
-        result = run_twocluster(
-            s=args.s,
-            D=args.dim if args.dim is not None else 50,
-            d=args.d if args.d is not None else 2,
-            n=args.n if args.n is not None else 2000,
-            n_balls=args.n_balls if args.n_balls is not None else 2000,
-            eps=args.eps if args.eps is not None else 0.1,
-            **common,
-        )
-    elif name == "residual_variance":
-        result = run_residual_variance(
-            _experiment_cloud(args),
-            rule=args.rule,
-            standardize=args.standardize,
-            seed=args.seed,
-        )
-    else:
-        result = run_profile_table(_experiment_cloud(args), seed=args.seed)
+    runner = _EXPERIMENTS[args.name][0]
+    # a runner flag that was not given is absent from args, so the runner's
+    # default applies
+    kwargs = {k: v for k, v in vars(args).items() if _takes(runner, k)}
+    if _takes(runner, "cloud"):
+        kwargs["cloud"] = _experiment_cloud(args)
+    result = runner(**kwargs)
     command = shlex.join(["projlens"] + _strip_threads(args.argv_tokens))
     paths = write_report(result, args.out_dir, command)
     print(paths[-1].read_text(), end="")
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+def _add_common(sub: argparse.ArgumentParser, default=0) -> None:
+    sub.add_argument("--seed", type=int, default=default, help="base seed (default 0)")
     sub.add_argument(
         "--threads",
         type=int,
-        default=0,
+        default=default,
         help="worker threads, 0 = auto; never affects results",
     )
+
+
+def _add_shape_flags(sub: argparse.ArgumentParser, required: bool) -> None:
+    sub.add_argument("--shape", required=required, choices=GEN_SHAPES)
+    sub.add_argument("--dim", required=required, type=int, help="source dimension D")
+    sub.add_argument("--n", type=int, help="row count (shape dependent)")
+    sub.add_argument("--s", type=float, default=4.0, help="two-cluster separation")
 
 
 def _build_parser() -> _Parser:
@@ -381,10 +386,7 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = subs.add_parser("gen", help="generate a dataset CSV")
-    gen.add_argument("--shape", required=True, choices=GEN_SHAPES)
-    gen.add_argument("--dim", required=True, type=int, help="source dimension D")
-    gen.add_argument("--n", type=int, help="row count (shape dependent)")
-    gen.add_argument("--s", type=float, default=4.0, help="two-cluster separation")
+    _add_shape_flags(gen, required=True)
     gen.add_argument("--law", choices=("atom", "powerexp"), default="atom")
     gen.add_argument("--sigma", type=float, default=1.0, help="atom law scale")
     gen.add_argument("--beta", type=float, default=1.0, help="power exponential shape")
@@ -430,25 +432,20 @@ def _build_parser() -> _Parser:
     bnd.set_defaults(func=_cmd_bounds)
 
     exp = subs.add_parser("experiment", help="run a named experiment suite")
-    exp.add_argument("name", choices=EXPERIMENT_NAMES)
-    exp.add_argument("--out-dir", default=".", help="artifact directory")
-    exp.add_argument("--n-seeds", type=int, default=10)
-    exp.add_argument("--in", dest="infile", help="input points CSV")
-    exp.add_argument("--shape", choices=GEN_SHAPES)
-    exp.add_argument("--dim", type=int)
-    exp.add_argument("--d", type=int)
-    exp.add_argument("--n", type=int)
-    exp.add_argument("--n-balls", type=int)
-    exp.add_argument("--center-box", type=float)
-    exp.add_argument("--max-radius", type=float)
-    exp.add_argument("--grid", help="comma-separated dimension grid")
-    exp.add_argument("--estimator", choices=("radial", "mc"), default="radial")
-    exp.add_argument("--s", type=float, default=4.0)
-    exp.add_argument("--eps", type=float)
-    exp.add_argument("--rule", choices=("least", "most"), default="least")
-    exp.add_argument("--standardize", action="store_true")
-    _add_common(exp)
-    exp.set_defaults(func=_cmd_experiment)
+    names = exp.add_subparsers(dest="name", required=True, parser_class=_Parser)
+    for name in EXPERIMENT_NAMES:
+        runner, flags = _EXPERIMENTS[name]
+        # without abbreviations a flag this experiment does not take is
+        # refused by name, not read as a prefix of one it does take
+        sub = names.add_parser(name, allow_abbrev=False)
+        if _takes(runner, "cloud"):
+            sub.add_argument("--in", dest="infile", help="input points CSV")
+            _add_shape_flags(sub, required=False)
+        for flag in flags.split():
+            sub.add_argument(flag, default=argparse.SUPPRESS, **_RUNNER_FLAGS[flag])
+        sub.add_argument("--out-dir", default=".", help="artifact directory")
+        _add_common(sub, default=argparse.SUPPRESS)
+        sub.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -26,7 +26,7 @@ _DENSE_EIGH_MAX_DIM = 512
 
 
 class CsvFormatError(ValueError):
-    """Malformed points or profile CSV; carries 1-based row/column positions."""
+    """Malformed CSV table; carries 1-based row/column positions."""
 
     def __init__(self, message: str, row: int | None = None, col: int | None = None):
         where = ""
@@ -411,7 +411,7 @@ def _parse_table(lines: list[str], width: int) -> np.ndarray | None:
         return None
 
 
-def _scan_points(lines: list[str], start: int, width: int, n_cols: int, has_labels: bool):
+def _scan_rows(lines: list[str], start: int, width: int, n_cols: int, has_labels: bool):
     """Rows and labels cell by cell; the first ragged row, bad cell, or label
     that is not an integer below 2^63 in magnitude (nan and inf are not)
     raises CsvFormatError at its 1-based position."""
@@ -437,34 +437,37 @@ def _scan_points(lines: list[str], start: int, width: int, n_cols: int, has_labe
     return rows, labels
 
 
-def load_points_csv(path) -> PointCloud:
-    """Read a points CSV: comma-separated rows, optional header, optional label.
+def _read_csv(path):
+    """(header, values, labels) of a CSV table; every CSV the package reads
+    goes through here.
 
-    A header is detected by a non-numeric first cell; a final integer column is
-    treated as labels only when the header names it "label". Malformed input
-    raises CsvFormatError with 1-based row and column positions. numpy parses
-    the cells; only input it refuses is scanned cell by cell, which finds the
-    position of the first fault (or accepts what Python's float() accepts).
+    A non-numeric first cell marks a header (its stripped cells, else None);
+    a last column headed "label" holds integer labels (else None); values
+    holds the other cells, which must be finite. Blank lines are skipped.
+    The first fault raises CsvFormatError at its 1-based row (blank lines
+    not counted) and, for a bad cell, column. numpy parses the cells; only
+    input it refuses is scanned cell by cell, which finds the position of
+    the first fault (or accepts what Python's float() accepts).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     lines = [ln for ln in lines if ln.strip() != ""]
     if not lines:
-        raise CsvFormatError("empty points file")
+        raise CsvFormatError("empty CSV file")
     first = lines[0].split(",")
-    has_header = False
+    header = None
     try:
         float(first[0])
     except ValueError:
-        has_header = True
-    has_labels = has_header and first[-1].strip().lower() == "label"
-    start = 1 if has_header else 0
+        header = [cell.strip() for cell in first]
+    has_labels = header is not None and header[-1].lower() == "label"
+    start = 0 if header is None else 1
     if start == len(lines):
         raise CsvFormatError("header but no data rows", row=1)
     width = len(lines[start].split(","))
-    if has_header and len(first) != width:
+    if header is not None and len(header) != width:
         raise CsvFormatError(
-            f"header has {len(first)} columns, data has {width}", row=2
+            f"header has {len(header)} columns, data has {width}", row=2
         )
     n_cols = width - 1 if has_labels else width
     if n_cols < 1:
@@ -478,51 +481,54 @@ def load_points_csv(path) -> PointCloud:
         else:
             table = None
     if table is None:
-        rows, labels = _scan_points(lines[start:], start, width, n_cols, has_labels)
+        values, labels = _scan_rows(lines[start:], start, width, n_cols, has_labels)
     else:
-        rows = table[:, :n_cols]
-    if not np.all(np.isfinite(rows)):
-        bad = np.argwhere(~np.isfinite(rows))[0]
+        values = table[:, :n_cols]
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))[0]
         raise CsvFormatError(
             "non-finite value", row=start + int(bad[0]) + 1, col=int(bad[1]) + 1
         )
-    return PointCloud(rows, labels=labels)
+    return header, values, labels
+
+
+def _write_csv(path, header: list[str] | None, rows) -> None:
+    """Write the header line, if any, then one line per row of the iterable
+    rows; every CSV the package writes goes through here. Each cell must be a
+    plain int, float or bool and is written as its repr(), so floats take
+    their shortest round-trip form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def load_points_csv(path) -> PointCloud:
+    """Read a points CSV: rows after an optional header, whose last column is
+    read as labels when the header names it "label" (see ``_read_csv``)."""
+    _, values, labels = _read_csv(path)
+    return PointCloud(values, labels=labels)
 
 
 def save_points_csv(cloud: PointCloud, path) -> None:
     """Write a points CSV with an x0..x{m-1} header, appending labels if present."""
-    cols = [f"x{j}" for j in range(cloud.dim)]
+    header = [f"x{j}" for j in range(cloud.dim)]
+    rows = (row.tolist() for row in cloud.data)  # streamed, one row at a time
     if cloud.labels is not None:
-        cols.append("label")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(cloud.n):
-            cells = [repr(float(v)) for v in cloud.data[i]]
-            if cloud.labels is not None:
-                cells.append(str(int(cloud.labels[i])))
-            fh.write(",".join(cells) + "\n")
+        header.append("label")
+        rows = (cells + [label] for cells, label in zip(rows, cloud.labels.tolist()))
+    _write_csv(path, header, rows)
 
 
 def load_profile_csv(path) -> Profile:
     """Read a profile CSV with header "sigma,weight"."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() != ""]
-    if not lines or lines[0].replace(" ", "") != "sigma,weight":
+    header, values, _ = _read_csv(path)
+    if header != ["sigma", "weight"]:
         raise CsvFormatError('profile CSV must start with header "sigma,weight"', row=1)
-    sigmas, weights = [], []
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise CsvFormatError("expected two columns", row=i + 2)
-        sigmas.append(_parse_cell(cells[0].strip(), i + 2, 1))
-        weights.append(_parse_cell(cells[1].strip(), i + 2, 2))
-    if not sigmas:
-        raise CsvFormatError("profile CSV has no atoms", row=1)
-    return Profile(np.array(sigmas), np.array(weights))
+    sigmas, weights = np.ascontiguousarray(values.T)
+    return Profile(sigmas, weights)
 
 
 def save_profile_csv(prof: Profile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sigma,weight\n")
-        for s, w in prof.atoms:
-            fh.write(f"{s!r},{w!r}\n")
+    _write_csv(path, ["sigma", "weight"], prof.atoms)

@@ -26,6 +26,7 @@ from .bounds import eccentricity
 from .datasets import (
     PointCloud,
     Profile,
+    _write_csv,
     center,
     gen_cross_polytope,
     gen_cube,
@@ -52,7 +53,8 @@ EXPERIMENT_NAMES = (
 # stream tag for the blinded A/B coin ("FIG4")
 _TAG_FIG4 = 0x46494734
 
-# Table: (column names, rows); every row entry is a plain int or float.
+# Table: (column names, rows); every row entry is an int, float or bool,
+# numpy scalars included.
 Table = tuple[list[str], list[list]]
 
 
@@ -88,16 +90,6 @@ def _git_describe_or_version() -> str:
         return "unknown"
 
 
-def _cell_text(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _json_ready(value):
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
@@ -120,9 +112,7 @@ def write_report(result: ExperimentResult, out_dir, command: str = "") -> list[P
     for tname in sorted(result.tables):
         columns, rows = result.tables[tname]
         path = out / f"{result.name}_{tname}.csv"
-        lines = [",".join(columns)]
-        lines.extend(",".join(_cell_text(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        _write_csv(path, columns, _json_ready(rows))
         paths.append(path)
     summary = dict(_json_ready(result.summary))
     summary["name"] = result.name
@@ -260,7 +250,10 @@ def run_decay(
     threads: int = 0,
 ) -> ExperimentResult:
     """Sweep the source dimension at fixed d and fit how the discrepancy
-    decays; the log-log slope against D lands near -1/2 for the simplex."""
+    decays; the log-log slope against D lands near -1/2 for the simplex.
+
+    threads pools the mc cells only; radial cells run serially.
+    """
     if estimator not in ("radial", "mc"):
         raise ValueError(f"estimator must be radial or mc, got {estimator!r}")
     seeds = _seed_list(seed, n_seeds)
@@ -282,7 +275,9 @@ def run_decay(
         ).value
 
     keys = [(D, s) for D in grid for s in seeds]
-    out = _run_cells(keys, cell, threads)
+    # a radial cell makes one small kernel call per center, and those calls
+    # hold the GIL, so a pool only slows them down
+    out = _run_cells(keys, cell, threads if estimator == "mc" else 1)
     rows = []
     medians = []
     for D in grid:

@@ -36,9 +36,8 @@ _MAX_IN_FLIGHT = 2
 class Ball:
     """Closed Euclidean ball; radius +inf means ALL, -inf means EMPTY.
 
-    EMPTY only arises from deflating a ball below radius zero; construct it
-    through ``Ball.empty`` or ``resize_ball``, never with a bare negative
-    radius.
+    EMPTY arises from deflating a ball below radius zero (``resize_ball``);
+    a finite negative radius is refused.
     """
 
     center: np.ndarray
@@ -71,12 +70,7 @@ class Ball:
 
     @classmethod
     def empty(cls, d: int) -> "Ball":
-        b = cls.__new__(cls)
-        center = np.zeros(d)
-        center.flags.writeable = False
-        object.__setattr__(b, "center", center)
-        object.__setattr__(b, "radius", -math.inf)
-        return b
+        return cls(np.zeros(d), -math.inf)
 
     @property
     def is_all(self) -> bool:
@@ -102,11 +96,7 @@ def resize_ball(ball: Ball, delta: float) -> Ball:
     if ball.is_empty or ball.is_all:
         return ball
     r = ball.radius + delta
-    if r < 0:
-        b = Ball.empty(ball.d)
-        object.__setattr__(b, "center", ball.center)
-        return b
-    return Ball(ball.center, r)
+    return Ball(ball.center, r if r >= 0 else -math.inf)
 
 
 @dataclass(frozen=True)

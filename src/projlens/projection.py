@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datasets import PointCloud, _top_eigenpairs, center
+from .datasets import CsvFormatError, PointCloud, _read_csv, _top_eigenpairs, _write_csv, center
 
 MODES = ("random", "orthonormal", "pca")
 _RANK_TOL = 1e-12
@@ -123,9 +123,7 @@ def gaussian_sample(d: int, n: int, sigma: float = 1.0, seed: int = 0) -> PointC
 
 def save_projection_map(pmap: ProjectionMap, csv_path, json_path) -> None:
     """Write the matrix as d rows x D columns CSV plus a JSON sidecar."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        for row in pmap.theta:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(csv_path, None, (row.tolist() for row in pmap.theta))
     meta = {"mode": pmap.mode, "seed": pmap.seed, "d": pmap.d, "D": pmap.D}
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -133,20 +131,14 @@ def save_projection_map(pmap: ProjectionMap, csv_path, json_path) -> None:
 
 
 def load_projection_map(csv_path, json_path) -> ProjectionMap:
-    from .datasets import CsvFormatError
-
+    """Read a map written by ``save_projection_map``: a headerless CSV whose
+    shape must match the sidecar's d and D."""
     with open(json_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    rows = []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if line.strip() == "":
-                continue
-            try:
-                rows.append([float(c) for c in line.strip().split(",")])
-            except ValueError:
-                raise CsvFormatError("non-numeric matrix entry", row=i + 1) from None
-    theta = np.array(rows)
+    header, theta, _ = _read_csv(csv_path)
+    if header is not None:
+        # a map has no header, so a non-numeric first cell is a bad entry
+        raise CsvFormatError(f"non-numeric value {header[0]!r}", row=1, col=1)
     if theta.shape != (meta["d"], meta["D"]):
         raise CsvFormatError(
             f"matrix shape {theta.shape} does not match sidecar ({meta['d']}, {meta['D']})"

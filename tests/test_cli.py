@@ -46,6 +46,24 @@ def test_help_and_usage_errors():
     assert bogus.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "name, flag",
+    [("figure4", "--n"), ("cube1d", "--d"), ("decay", "--eps"), ("profile_table", "--grid")],
+)
+def test_experiment_refuses_flags_it_does_not_take(tmp_path, name, flag):
+    res = run_cli("experiment", name, flag, 5, "--out-dir", tmp_path)
+    assert res.returncode == 1
+    assert f"unrecognized arguments: {flag} 5" in res.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_experiment_help_lists_only_its_flags():
+    res = run_cli("experiment", "cube1d", "--help")
+    assert res.returncode == 0
+    flags = {tok.strip("[],") for tok in res.stdout.split() if tok.startswith(("--", "[--"))}
+    assert flags == {"--help", "--grid", "--n", "--n-seeds", "--out-dir", "--seed", "--threads"}
+
+
 def test_gen_simplex_and_cube_row_counts(tmp_path):
     out = tmp_path / "simplex.csv"
     res = run_cli("gen", "--shape", "simplex", "--dim", 1000, "--out", out)

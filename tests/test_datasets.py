@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from projlens import (
     AtomLaw,
     CsvFormatError,
+    ExperimentResult,
+    PointCloud,
     PowerExponentialLaw,
     Profile,
+    ProjectionMap,
     SizeLimitError,
     center,
     gen_cross_polytope,
@@ -25,9 +28,11 @@ from projlens import (
     profile,
     save_points_csv,
     save_profile_csv,
+    save_projection_map,
     sigma_epsilon,
     spectrum,
     two_sample_ks,
+    write_report,
 )
 
 from _oracles import power_exp_radius_cdf, two_cluster_lambda_max
@@ -293,3 +298,42 @@ def test_csv_cells_read_as_python_floats(tmp_path):
     assert np.array_equal(cloud.data, np.column_stack([want, want]))
     assert cloud.labels.tolist() == list(range(len(cells)))
 
+
+
+def test_csv_writers_golden_bytes(tmp_path):
+    cloud = PointCloud(np.array([[0.1, -2.0], [1e-300, 3.5]]), labels=np.array([1, 0]))
+    save_points_csv(cloud, tmp_path / "pts.csv")
+    assert (tmp_path / "pts.csv").read_bytes() == b"x0,x1,label\n0.1,-2.0,1\n1e-300,3.5,0\n"
+    save_profile_csv(Profile(np.array([1.0 / 3.0, 0.5]), np.array([0.25, 0.75])),
+                     tmp_path / "prof.csv")
+    assert (tmp_path / "prof.csv").read_bytes() == (
+        b"sigma,weight\n0.3333333333333333,0.25\n0.5,0.75\n"
+    )
+    pmap = ProjectionMap(np.array([[1.0, 0.2, -7.0]]), "random", 4)
+    save_projection_map(pmap, tmp_path / "m.csv", tmp_path / "m.json")
+    assert (tmp_path / "m.csv").read_bytes() == b"1.0,0.2,-7.0\n"
+    assert (tmp_path / "m.json").read_bytes() == (
+        b'{\n  "D": 3,\n  "d": 1,\n  "mode": "random",\n  "seed": 4\n}\n'
+    )
+    table = (["n", "x", "ok"], [[np.int64(3), np.float64(0.1), np.bool_(True)], [-1, 2.5, False]])
+    write_report(ExperimentResult("demo", {}, {"t": table}, {}), tmp_path, command="demo")
+    assert (tmp_path / "demo_t.csv").read_bytes() == b"n,x,ok\n3,0.1,True\n-1,2.5,False\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, row, col",
+    [
+        ("sigma,weight\n0.5,0.5\n1.0,0.25,0.25\n", "expected 2 columns, found 3", 3, None),
+        ("sigma,weight\n0.5,0.5\n1.0,half\n", "non-numeric value 'half'", 3, 2),
+        ("sigma,weight\nnan,0.5\n1.0,0.5\n", "non-finite value", 2, 1),
+        ("sigma,weight\n0.5,0.5\n1.0,inf\n", "non-finite value", 3, 2),
+        ("0.5,0.5\n1.0,0.5\n", 'must start with header "sigma,weight"', 1, None),
+    ],
+    ids=["ragged", "text", "nan", "inf", "no-header"],
+)
+def test_profile_csv_error_positions(tmp_path, text, message, row, col):
+    bad = tmp_path / "prof.csv"
+    bad.write_text(text)
+    with pytest.raises(CsvFormatError, match=message) as err:
+        load_profile_csv(bad)
+    assert (err.value.row, err.value.col) == (row, col)

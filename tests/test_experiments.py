@@ -96,6 +96,16 @@ def test_threads_never_change_results():
         assert serial.tables[name] == pooled.tables[name]
 
 
+@pytest.mark.parametrize("estimator", ["radial", "mc"])
+def test_decay_identical_across_threads(estimator):
+    runs = [
+        run_decay(grid=(20, 40), estimator=estimator, n_balls=200, n_seeds=2, threads=t)
+        for t in (1, 2)
+    ]
+    assert runs[0].summary == runs[1].summary
+    assert runs[0].tables == runs[1].tables
+
+
 def test_residual_variance_iid_coordinates():
     rng_local = np.random.default_rng(0)
     cloud = PointCloud(rng_local.standard_normal((4000, 8)))

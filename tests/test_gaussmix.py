@@ -38,6 +38,14 @@ def test_ball_constructors_and_flags():
         Ball(np.array([np.inf]), 1.0)
 
 
+def test_empty_ball_from_the_constructor():
+    empty = Ball(np.zeros(2), -math.inf)
+    assert empty == Ball.empty(2) and empty.is_empty
+    assert not Ball.empty(2).center.flags.writeable
+    shrunk = resize_ball(Ball(np.array([1.0, -1.0]), 0.5), -1.0)
+    assert shrunk.is_empty and np.array_equal(shrunk.center, [1.0, -1.0])
+
+
 def test_resize_examples():
     b = Ball(np.zeros(1), 1.0)
     assert resize_ball(b, 0.5).radius == 1.5

@@ -149,7 +149,9 @@ def test_direction_uniformity_for_spherical_data():
 
 def test_pca_unit_variance_on_cross_polytope():
     cloud = gen_cross_polytope(30)
-    proj, pmap = pca_project(cloud, 2, seed=0)
+    # the covariance is the identity, so every eigengap is 0
+    with pytest.warns(EigengapWarning):
+        proj, pmap = pca_project(cloud, 2, seed=0)
     var = (proj.data ** 2).sum(axis=0) / proj.n
     assert np.allclose(var, 1.0, rtol=1e-9)
     assert pmap.mode == "pca"
@@ -235,3 +237,23 @@ def test_map_load_rejects_shape_mismatch(tmp_path):
     csv_p.write_text("1,2,3\n")
     with pytest.raises(CsvFormatError):
         load_projection_map(csv_p, json_p)
+
+
+@pytest.mark.parametrize(
+    "text, message, row, col",
+    [
+        ("1,2,3\n4,5\n", "expected 3 columns, found 2", 2, None),
+        ("1,2,3\n4,x,6\n", "non-numeric value 'x'", 2, 2),
+        ("1,2,3\n4,5,nan\n", "non-finite value", 2, 3),
+        ("y,2,3\n4,5,6\n", "non-numeric value 'y'", 1, 1),
+    ],
+    ids=["ragged", "text", "nan", "text-first-cell"],
+)
+def test_map_load_error_positions(tmp_path, text, message, row, col):
+    pmap = sample_projection(2, 3, seed=6)
+    csv_p, json_p = tmp_path / "m.csv", tmp_path / "m.json"
+    save_projection_map(pmap, csv_p, json_p)
+    csv_p.write_text(text)
+    with pytest.raises(CsvFormatError, match=message) as err:
+        load_projection_map(csv_p, json_p)
+    assert (err.value.row, err.value.col) == (row, col)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as ss
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projlens import (
@@ -106,7 +106,12 @@ def test_dip_equally_spaced_staircase(n):
     )
 
 
+# two atoms 1e-9 of the span apart, on which the fit program once failed
+_NEAR_TIE = [0.0, 7.0, 7.0, 9.0, 60.0, 0.0625, 5.960464477539063e-08]
+
+
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=24))
+@example(_NEAR_TIE)
 @settings(max_examples=60, deadline=None)
 def test_dip_floor_and_ceiling(sample):
     arr = np.asarray(sample)
@@ -115,6 +120,17 @@ def test_dip_floor_and_ceiling(sample):
     if np.unique(arr).size >= 2:
         # some tie group away from the mode forces half its jump
         assert got >= np.min(np.unique(arr, return_counts=True)[1]) / (2 * arr.size) - 1e-12
+
+
+def test_dip_near_coincident_atoms():
+    vals, counts = np.unique(_NEAR_TIE, return_counts=True)
+    assert dip_statistic(_NEAR_TIE) == pytest.approx(dip_lp_reference(vals, counts), abs=1e-9)
+    # gaps on both sides of the merge tolerance; the fit program failed on
+    # some of them before near-coincident atoms were merged
+    tied = dip_statistic(_NEAR_TIE[:-1] + [0.0])
+    for gap in np.geomspace(1e-10, 1e-8, 100):
+        got = dip_statistic(_NEAR_TIE[:-1] + [60.0 * gap])
+        assert got == pytest.approx(tied, abs=1e-9)
 
 
 def test_dip_separates_unimodal_from_bimodal():
