@@ -42,6 +42,11 @@ NET_SIZE_LIMIT = 10 ** 7
 # some 8 minutes
 WORK_LIMIT = 10 ** 9
 _NET_GRID_RTOL = 1e-9
+# most (live atom, ball) pairs in one kernel call of the radial sweep, which
+# scores a block of centers per call, always at least one. Blocks pay off the
+# kernel's per-call cost; the decay-oneatom bench worker peaked at 63 MB with
+# this budget, 72 MB with 2^16 pairs and 62 MB with one center a call
+_SWEEP_BLOCK_PAIRS = 2**14
 
 # stream tags ("MCBL", "LIPS" in ASCII)
 _TAG_MC = 0x4D43424C
@@ -54,6 +59,8 @@ def _as_points(cloud, d: int | None = None) -> np.ndarray:
         raise ValueError("points must form a nonempty 2-d array")
     if d is not None and pts.shape[1] != d:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {d}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     return pts
 
 
@@ -431,38 +438,48 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
             raise ValueError("need at least one sweep center")
         if cens.shape[1] != d:
             raise ValueError(f"centers have dimension {cens.shape[1]}, expected {d}")
-    # n data distances bound the distinct radii at each center
+        if not np.all(np.isfinite(cens)):
+            raise ValueError("sweep centers must be finite")
+    # n data distances at each center, so at most n distinct radii
     _check_work(model, cens.shape[0] * n, "the radial sweep", "use fewer points or centers")
     point_mass = float(model.profile.weights[model.profile.sigmas == 0.0].sum())
+    live = max(1, int(np.count_nonzero(model.profile.sigmas)))
+    step = max(1, _SWEEP_BLOCK_PAIRS // (live * n))
+    frac = np.arange(n + 1) / n
 
     def scored():
-        # one center at a time: blocks of centers only raise the scratch
-        # memory, here and in the kernel, and gain no time
-        for center in cens:
-            row = _sq_dists(pts, center[None, :])[0]
-            row.sort()
-            # the index of the first copy of each distinct distance counts
-            # the points strictly inside it; the next one's, those within it
-            first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
-            uniq = row[first]
-            radii = np.sqrt(uniq)
-            above = below = mixture_masses_pairs(model, center[None, :], radii)
+        # a block of centers at a time, one kernel call per block. The sweep
+        # stays serial: a block is below one 2^17-pair kernel chunk, and the
+        # kernel threads only calls of two or more chunks
+        for s in range(0, len(cens), step):
+            block = cens[s : s + step]
+            sq = _sq_dists(pts, block)
+            sq.sort(axis=1)
+            # sq[i, j] has j points before it and j + 1 within it. For a
+            # tied distance both counts are exact at a copy of it (within at
+            # its last, before at its first) and fall short at the others,
+            # so those score lower and argmax lands on a copy of the same
+            # distance, in the order of the distinct distances
+            radii = np.sqrt(sq)
+            above = below = mixture_masses_pairs(model, block[:, None, :], radii)
             if point_mass:
                 # the kernel puts the point masses at the origin in B(c, r)
                 # when |c|^2 <= r*r; the limits at a distance u take the
                 # closed ball (|c|^2 <= u^2) from above and the open one
                 # (|c|^2 < u^2) from below, on the witnesses' u^2
-                c2 = np.einsum("...j,...j->...", center[None, :], center[None, :])
+                c2 = np.einsum("...j,...j->...", block[:, None, :], block[:, None, :])
                 cont = above - point_mass * (c2 <= radii**2)
-                above = cont + point_mass * (c2 <= uniq)
-                below = cont + point_mass * (c2 < uniq)
-            # the limits from above each distinct distance, then from below
-            yield np.append(first[1:], n) / n - above, center, uniq, True
-            yield below - first / n, center, uniq, False
+                above = cont + point_mass * (c2 <= sq)
+                below = cont + point_mass * (c2 < sq)
+            # per center, the limits from above each distance, then from below
+            yield np.stack([frac[1:] - above, below - frac[:-1]], axis=1), block, sq
 
-    _, (_, center, uniq, from_above), i = _first_max(scored())
-    sq = float(uniq[i])
-    if from_above:
+    _, (_, block, dists), i = _first_max(scored())
+    c, rest = divmod(i, 2 * n)
+    center = block[c]
+    from_below, j = divmod(rest, n)
+    sq = float(dists[c, j])
+    if not from_below:
         witness = Ball(center.copy(), _witness_radius_at_least(sq))
     elif sq > 0.0:
         witness = Ball(center.copy(), _witness_radius_below(sq))
@@ -495,8 +512,10 @@ def mc_ball_sup(
     n, d = pts.shape
     if n_balls < 1:
         raise ValueError("n_balls must be >= 1")
-    if not (center_box > 0 and max_radius > 0):
-        raise ValueError("need center_box > 0 and max_radius > 0")
+    if not (0 < center_box < math.inf and 0 < max_radius < math.inf):
+        raise ValueError(
+            f"need finite center_box > 0 and max_radius > 0, got {center_box} and {max_radius}"
+        )
     _check_work(model, n_balls, "the mc estimator", "use fewer balls")
     u = rng.stream(seed, _TAG_MC, d).random((n_balls, d + 1))
     centers = center_box * (2.0 * u[:, :d] - 1.0)

@@ -4,10 +4,11 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projlens import (
@@ -40,6 +41,15 @@ from projlens import (
     spectrum,
     sup_over_net,
 )
+from projlens import discrepancy
+from projlens.discrepancy import (
+    _first_max,
+    _report,
+    _sq_dists,
+    _witness_radius_at_least,
+    _witness_radius_below,
+)
+from projlens.gaussmix import mixture_masses_pairs
 
 UNIT_PROFILE = Profile(np.array([1.0]), np.array([1.0]))
 MODEL_1D = MixtureModel(UNIT_PROFILE, 1)
@@ -228,6 +238,20 @@ def test_radial_sweep_rejects_bad_centers():
         radial_sweep_sup(cloud.data, MODEL_1D, centers=np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_and_centers_are_refused(bad):
+    # refused up front, before the kernel sees a non-finite noncentrality
+    pts = np.array([[0.5], [bad], [-1.0]])
+    with pytest.raises(ValueError, match="points must be finite"):
+        radial_sweep_sup(pts, MODEL_1D)
+    with pytest.raises(ValueError, match="points must be finite"):
+        mc_ball_sup(pts, MODEL_1D, 10)
+    with pytest.raises(ValueError, match="points must be finite"):
+        empirical_mass(pts, Ball(np.zeros(1), 1.0))
+    with pytest.raises(ValueError, match="sweep centers must be finite"):
+        radial_sweep_sup(np.zeros((3, 1)), MODEL_1D, centers=np.array([[0.0], [bad]]))
+
+
 def test_net_over_work_limit_is_refused():
     # a centred two-cluster cloud has one atom per point; at d = 1 and the
     # CLI's eps = 0.25 its net holds about 3.9e6 balls, 1.6e9 pairs in all
@@ -313,6 +337,17 @@ def test_mc_ball_sup_edge_cases():
         mc_ball_sup(cloud.data, MODEL_1D, 0)
     with pytest.raises(ValueError):
         mc_ball_sup(cloud.data, MODEL_1D, 10, center_box=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mc_refuses_non_finite_box_and_radius(bad):
+    # max_radius = inf once gave value 0.0 with an infinite-radius witness,
+    # and center_box = inf failed inside the kernel
+    pts = np.zeros((3, 1))
+    with pytest.raises(ValueError, match="finite center_box > 0 and max_radius > 0"):
+        mc_ball_sup(pts, MODEL_1D, 10, center_box=bad)
+    with pytest.raises(ValueError, match="finite center_box > 0 and max_radius > 0"):
+        mc_ball_sup(pts, MODEL_1D, 10, max_radius=bad)
 
 
 @pytest.mark.parametrize("seed, sign", [(4, -1), (7, 1), (8, -1), (8, 1), (11, 1)])
@@ -410,6 +445,91 @@ def test_radial_sweep_point_mass_limit_at_radius_zero_finishes():
     balls = [Ball(np.array([c]), r) for c in (-1.5, 0.0) for r in np.arange(0.0, 4.0, 0.125)]
     brute = max(abs(empirical_mass(pts, b) - mixture_ball_mass(model, b)) for b in balls)
     assert values[0] >= brute - 1e-12
+
+
+def _per_center_sweep(pts, model, centers=None):
+    """radial_sweep_sup as it was before blocks of centers: one kernel call
+    per center, over its distinct squared distances only."""
+    n, d = pts.shape
+    cens = np.vstack([pts, np.zeros((1, d))]) if centers is None else centers
+    point_mass = float(model.profile.weights[model.profile.sigmas == 0.0].sum())
+
+    def scored():
+        for center in cens:
+            row = _sq_dists(pts, center[None, :])[0]
+            row.sort()
+            first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+            uniq = row[first]
+            radii = np.sqrt(uniq)
+            above = below = mixture_masses_pairs(model, center[None, :], radii)
+            if point_mass:
+                c2 = np.einsum("...j,...j->...", center[None, :], center[None, :])
+                cont = above - point_mass * (c2 <= radii**2)
+                above = cont + point_mass * (c2 <= uniq)
+                below = cont + point_mass * (c2 < uniq)
+            yield np.append(first[1:], n) / n - above, center, uniq, True
+            yield below - first / n, center, uniq, False
+
+    _, (_, center, uniq, from_above), i = _first_max(scored())
+    sq = float(uniq[i])
+    if from_above:
+        witness = Ball(center.copy(), _witness_radius_at_least(sq))
+    elif sq > 0.0:
+        witness = Ball(center.copy(), _witness_radius_below(sq))
+    else:
+        witness = Ball.empty(d)
+    emp = empirical_mass(pts, witness)
+    pred = mixture_ball_mass(model, witness)
+    return _report("radial", (abs(emp - pred), witness, emp, pred), n, 0,
+                   {"n_centers": int(cens.shape[0])})
+
+
+_sweep_centers = st.one_of(
+    st.none(), st.lists(st.integers(-4, 4), min_size=1, max_size=8)
+)
+
+
+@given(_grid_clouds, _small_models, _sweep_centers, st.sampled_from([1, 5, 64, 2**14]))
+@example(np.zeros((1, 1)), Profile.from_scales([0.0, 1.0]), [0], 1)
+@example(np.array([[0.0], [0.5], [0.5]]), Profile.from_scales([0.0]), None, 5)
+@settings(max_examples=80, deadline=None)
+def test_radial_sweep_blocks_equal_per_center_sweep(pts, prof, raw_centers, budget):
+    # one kernel call per block of centers gives the report of one call per
+    # center bit for bit, whatever the block size; ties, point masses and
+    # the empty-ball limit at radius 0 included
+    d = pts.shape[1]
+    model = MixtureModel(prof, d)
+    centers = None
+    if raw_centers is not None:
+        centers = 0.5 * np.resize(np.array(raw_centers, dtype=float), (len(raw_centers), d))
+    with mock.patch.object(discrepancy, "_SWEEP_BLOCK_PAIRS", budget):
+        got = radial_sweep_sup(pts, model, centers=centers).to_json()
+    want = _per_center_sweep(pts, model, centers).to_json()
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("d, atoms", [(1, 1), (2, 50)])
+def test_radial_sweep_kernel_calls_stay_within_block_budget(monkeypatch, d, atoms):
+    # each kernel call of the sweep scores at most 2^14 (live atom, ball)
+    # pairs, unless one center alone has more
+    gen = np.random.default_rng(d)
+    n = 400 if atoms == 1 else 50
+    pts = gen.normal(size=(n, d))
+    model = MixtureModel(Profile.from_scales(np.linspace(0.5, 2.0, atoms)), d)
+    calls = []
+
+    def counted(model, centers, radii, *args):
+        shape = np.broadcast_shapes(np.shape(centers)[:-1], np.shape(radii))
+        calls.append((math.prod(shape) * atoms, math.prod(np.shape(centers)[:-1])))
+        return mixture_masses_pairs(model, centers, radii, *args)
+
+    monkeypatch.setattr(discrepancy, "mixture_masses_pairs", counted)
+    radial_sweep_sup(pts, model)
+    assert sum(centers for _, centers in calls) == n + 1
+    for pairs, centers in calls:
+        assert pairs <= 2**14 or centers == 1
+    # blocks hold several centers, so the budget is what bounds them
+    assert max(pairs for pairs, _ in calls) > 2**13
 
 
 @given(_grid_clouds, _small_models, st.integers(0, 10**6))
