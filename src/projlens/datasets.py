@@ -186,7 +186,8 @@ def gen_simplex(D: int) -> PointCloud:
         raise ValueError("dimension must be >= 1")
     data = np.zeros((D + 1, D))
     data[0] = (1.0 - np.sqrt(D + 1.0)) / np.sqrt(D)
-    data[1:] = np.sqrt(D) * np.eye(D)
+    # in place: sqrt(D) * eye(D) would hold two more D x D arrays
+    np.fill_diagonal(data[1:], np.sqrt(D))
     return PointCloud(data)
 
 
@@ -314,8 +315,13 @@ def profile(cloud: PointCloud) -> Profile:
     """
     if not cloud.centered:
         warnings.warn("profile of an uncentered cloud; center() it first", UserWarning)
-    norms = np.linalg.norm(cloud.data, axis=1) / np.sqrt(cloud.dim)
-    return Profile.from_scales(norms)
+    # row blocks of some 1 MB: the norm of the whole cloud at once squares
+    # it into a copy; each row's norm has the same bits either way
+    step = max(1, 2**17 // cloud.dim)
+    norms = np.concatenate(
+        [np.linalg.norm(cloud.data[s : s + step], axis=1) for s in range(0, cloud.n, step)]
+    )
+    return Profile.from_scales(norms / np.sqrt(cloud.dim))
 
 
 def spectrum(cloud: PointCloud) -> SpectrumSummary:

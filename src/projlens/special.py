@@ -291,13 +291,16 @@ def _is_tiny(half: np.ndarray, xh: np.ndarray) -> np.ndarray:
 
 def _one_dof(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The d = 1 CDF at x > 0 by its closed-form routes (see the module notes)."""
-    # x = inf would give inf / inf; at the largest double the CDF is 1 already
-    x_c = np.minimum(x, _DBL_MAX)
-    s = np.sqrt(x_c) + np.sqrt(lam)
-    vals = 0.5 * (sps.erf((x_c - lam) / s * _SQRT_HALF) + sps.erf(s * _SQRT_HALF))
     # the erf sum is the route for x > lam; at or below it cancels, and
     # tiny-x pairs keep their own route
     rest = (x <= lam) | _is_tiny(lam / 2.0, x / 2.0)
+    vals = np.empty_like(x)
+    erf = ~rest
+    if erf.any():
+        # x = inf would give inf / inf; at the largest double the CDF is 1 already
+        x_c, lam_e = np.minimum(x[erf], _DBL_MAX), lam[erf]
+        s = np.sqrt(x_c) + np.sqrt(lam_e)
+        vals[erf] = 0.5 * (sps.erf((x_c - lam_e) / s * _SQRT_HALF) + sps.erf(s * _SQRT_HALF))
     if rest.any():
         vals[rest] = _screened(1, lam[rest], x[rest], _one_dof_bulk)
     return vals

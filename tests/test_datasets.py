@@ -1,6 +1,7 @@
 """Generator, profile, spectrum, and CSV round-trip tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,31 @@ def test_profile_single_atoms():
     one = PointCloud(np.array([[3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]), centered=True)
     prof = profile(one)
     assert np.allclose(prof.sigmas, [1.0]) and np.allclose(prof.weights, [1.0])
+
+
+def test_simplex_and_profile_peak_memory():
+    # gen_simplex(1000) holds the 8 MB cloud and nothing of its size beside
+    # it; profile takes the row norms in blocks of some 1 MB, with the bits
+    # of one norm over the whole cloud
+    tracemalloc.start()
+    try:
+        cloud = gen_simplex(1000)
+        _, gen_peak = tracemalloc.get_traced_memory()
+        src = center(cloud)
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        prof = profile(src)
+        _, prof_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = cloud.data.nbytes
+    assert gen_peak < 1.25 * size
+    assert prof_peak - before < 0.25 * size
+    assert np.array_equal(cloud.data[1:], math.sqrt(1000) * np.eye(1000))
+    norms = np.linalg.norm(src.data, axis=1) / math.sqrt(1000)
+    want = Profile.from_scales(norms)
+    assert prof.sigmas.tobytes() == want.sigmas.tobytes()
+    assert prof.weights.tobytes() == want.weights.tobytes()
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 60), D=st.integers(1, 12))

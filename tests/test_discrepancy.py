@@ -24,6 +24,7 @@ from projlens import (
     empirical_mass,
     gaussian_sample,
     gen_cube,
+    gen_simplex,
     gen_two_cluster,
     ks_statistic,
     lipschitz_probe,
@@ -41,9 +42,8 @@ from projlens import (
     spectrum,
     sup_over_net,
 )
-from projlens import discrepancy
+from projlens import discrepancy, gaussmix
 from projlens.discrepancy import (
-    _first_max,
     _report,
     _sq_dists,
     _witness_radius_at_least,
@@ -376,11 +376,15 @@ def test_mc_over_work_limit_is_refused():
 
 # small clouds on a half-integer grid: duplicate points, tied distances, and
 # points exactly on the boundaries of net balls
-_grid_clouds = st.integers(1, 2).flatmap(
-    lambda d: st.lists(
-        st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=14
-    ).map(lambda rows: 0.5 * np.array(rows, dtype=float))
-)
+def _grid_clouds_up_to(max_d):
+    return st.integers(1, max_d).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=14
+        ).map(lambda rows: 0.5 * np.array(rows, dtype=float))
+    )
+
+
+_grid_clouds = _grid_clouds_up_to(2)
 # scale 0 is a point-mass atom at the origin, which the grid centers and
 # data distances often hit exactly
 _small_models = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=3).map(
@@ -445,6 +449,18 @@ def test_radial_sweep_point_mass_limit_at_radius_zero_finishes():
     balls = [Ball(np.array([c]), r) for c in (-1.5, 0.0) for r in np.arange(0.0, 4.0, 0.125)]
     brute = max(abs(empirical_mass(pts, b) - mixture_ball_mass(model, b)) for b in balls)
     assert values[0] >= brute - 1e-12
+
+
+def _first_max(blocks):
+    """(score, block, i) for the largest score over a stream of blocks, each
+    a tuple led by its score array, i the flat index in that array; ties go
+    to the first in stream order, then in row-major order within a block."""
+    best = None
+    for block in blocks:
+        i = int(np.argmax(block[0]))
+        if best is None or block[0].flat[i] > best[0]:
+            best = (float(block[0].flat[i]), block, i)
+    return best
 
 
 def _per_center_sweep(pts, model, centers=None):
@@ -637,3 +653,115 @@ def test_sup_over_net_is_first_max_over_every_ball(d):
         assert report.value == want
         assert report.witness == witness
 
+
+# many atoms in a narrow band of log sigma, as empirical profiles have them,
+# with point masses at the origin now and then
+_clustered_models = st.tuples(
+    st.lists(st.floats(-0.15, 0.15), min_size=1, max_size=40),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.integers(0, 2),
+).map(lambda t: Profile.from_scales(np.concatenate([t[1] * np.exp(t[0]), np.zeros(t[2])])))
+
+
+def _estimates(pts, model, seed):
+    d = pts.shape[1]
+    return [
+        sup_over_net(pts, model, build_ball_net(d, 1.0, 0.25 if d < 3 else 0.45)),
+        radial_sweep_sup(pts, model),
+        mc_ball_sup(pts, model, 200, seed=seed, center_box=2.0, max_radius=3.0),
+    ]
+
+
+@given(
+    _grid_clouds_up_to(3),
+    st.one_of(_clustered_models, _small_models),
+    st.integers(0, 10**6),
+    st.sampled_from([0.05, 0.5, 5.0]),
+    st.sampled_from([1, 7, 2**16]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pruned_scoring_gives_the_unpruned_reports(pts, prof, seed, width, max_kept):
+    # scoring against the coarse model first, then the kept balls exactly,
+    # reports what scoring every ball exactly reports, bit for bit: ties on
+    # the half-integer grid, point masses, coarse models from close to the
+    # exact one to a single atom (width), and exact rescoring after every
+    # block (max_kept = 1) included
+    model = MixtureModel(prof, pts.shape[1])
+    with mock.patch.object(discrepancy, "_PRUNE_MIN_PAIRS", 10**18):
+        want = [json.dumps(r.to_json()) for r in _estimates(pts, model, seed)]
+    with mock.patch.multiple(
+        discrepancy, _PRUNE_MIN_PAIRS=0, _PRUNE_ATOM_SHARE=1, _PRUNE_MAX_KEPT=max_kept
+    ), mock.patch.object(gaussmix, "_COARSE_LOG_WIDTH", width), mock.patch.object(
+        discrepancy, "coarse_model", wraps=gaussmix.coarse_model
+    ) as coarse:
+        got = [json.dumps(r.to_json()) for r in _estimates(pts, model, seed)]
+    assert coarse.call_count == (3 if prof.sigmas[-1] > 0 else 0)
+    assert got == want
+
+
+def _radial_manyatom_input(n=50, seed=1):
+    # the radial-manyatom bench input: a centred two-cluster cloud in R^50,
+    # one profile atom per point, projected to d = 2
+    src = center(gen_two_cluster(50, n, 4.0, seed=seed))
+    pmap = sample_projection(2, 50, 14)
+    return apply(pmap, src).data, MixtureModel(profile(src), 2)
+
+
+def _count_kernel_pairs(monkeypatch, exact):
+    """Patch the estimators' two kernel entry points; returns a list that
+    collects, per call, (live atom, ball) pairs and whether the model was
+    ``exact``."""
+    calls = []
+
+    def counted(name, sq):
+        kernel = getattr(discrepancy, name)
+
+        def wrapped(model, a, b, *args):
+            shape = np.broadcast_shapes(np.shape(a) if sq else np.shape(a)[:-1], np.shape(b))
+            live = int(np.count_nonzero(model.profile.sigmas))
+            calls.append((math.prod(shape) * live, model is exact, name))
+            return kernel(model, a, b, *args)
+
+        monkeypatch.setattr(discrepancy, name, wrapped)
+
+    counted("mixture_masses_pairs", False)
+    counted("mixture_masses_sq", True)
+    return calls
+
+
+def test_pruning_cuts_the_exact_work_of_a_many_atom_sweep(monkeypatch):
+    pts, model = _radial_manyatom_input()
+    n, live = len(pts), np.count_nonzero(model.profile.sigmas)
+    want = radial_sweep_sup(pts, model)
+    calls = _count_kernel_pairs(monkeypatch, model)
+    assert radial_sweep_sup(pts, model) == want
+    exact = sum(pairs for pairs, is_exact, _ in calls if is_exact)
+    # scoring every (center, radius) exactly takes (n + 1) n live pairs
+    assert 0 < exact < (n + 1) * n * live / 4
+
+
+def test_one_atom_and_tiny_calls_keep_the_exact_path(monkeypatch):
+    # the decay-oneatom and cli net inputs (one atom) and the mc-scalemix
+    # one (900 pairs) score every ball once, or every distinct squared norm
+    # of the net once, with the exact model; no coarse model is built
+    simplex = center(gen_simplex(200))
+    proj = apply(sample_projection(1, 200, 3), simplex).data
+    one_atom = MixtureModel(profile(simplex), 1)
+    gen = np.random.default_rng(5)
+    scales = np.repeat([0.1, 1.0, 3.0], 150) * np.exp(gen.normal(0.0, 0.02, 450))
+    scalemix = MixtureModel(Profile.from_scales(scales), 2)
+    net = build_ball_net(1, 1.0, 0.05)
+    cases = [
+        (one_atom, lambda m: radial_sweep_sup(proj, m), (len(proj) + 1) * len(proj)),
+        (one_atom, lambda m: mc_ball_sup(proj, m, 5000, seed=1), 5000),
+        (one_atom, lambda m: sup_over_net(proj, m, net),
+         len(np.unique(net.axis**2)) * len(net.radii)),
+        (scalemix, lambda m: mc_ball_sup(gen.normal(size=(450, 2)), m, 2, seed=2), 900),
+    ]
+    for model, run, pairs in cases:
+        monkeypatch.setattr(discrepancy, "coarse_model", None)
+        calls = _count_kernel_pairs(monkeypatch, model)
+        run(model)
+        assert all(is_exact for _, is_exact, _ in calls)
+        assert sum(p for p, _, _ in calls) == pairs
+        monkeypatch.undo()

@@ -1,6 +1,7 @@
 """Ball algebra and scale-mixture mass tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from projlens import (
     nu_ball_mass,
     resize_ball,
 )
+from projlens import gaussmix, special
 from projlens.gaussmix import mixture_masses_pairs
 
 from _oracles import chisq2_central_cdf
@@ -240,3 +242,60 @@ def test_second_moment_matches_spectrum_identity():
         assert mixture_second_moment(model) == pytest.approx(
             d * spectrum(cloud).lambda_avg, rel=1e-9
         )
+
+
+def test_tv_distance_closed_form_two_dims():
+    # at d = 2 the chi-square CDF is 1 - e^(-x/2), and the densities cross at
+    # r*^2 = 2 ln(rho) / (1/s1^2 - 1/s2^2)
+    from projlens.gaussmix import _tv_distance
+
+    s1, s2 = np.array([0.5, 1.0, 1e-3, 1.0]), np.array([0.6, 3.0, 1e-2, 1.0 + 1e-9])
+    r2 = 2.0 * np.log((s2 / s1) ** 2) / (1.0 / s1**2 - 1.0 / s2**2)
+    want = np.exp(-r2 / (2 * s2**2)) - np.exp(-r2 / (2 * s1**2))
+    np.testing.assert_allclose(_tv_distance(2, s1, s2), want, rtol=1e-6, atol=1e-15)
+    assert _tv_distance(3, np.array([2.0]), np.array([2.0]))[0] == 0.0
+
+
+# many clustered atoms and point masses; the bins of the coarse model are
+# 0.05 / sqrt(d) wide in log sigma
+_clustered_profiles = st.tuples(
+    st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=60),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 3),
+).map(lambda t: Profile.from_scales(np.concatenate([t[1] * np.exp(t[0]), np.zeros(t[2])])))
+
+
+@given(_clustered_profiles, st.sampled_from([1, 2, 3, 5]), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_coarse_model_brackets_every_mass(prof, d, seed):
+    # every exact mass lies within tau of the coarse one, for balls from the
+    # origin out to noncentralities of 1e7 and radii up to and around the
+    # center's norm, where the lower tail is deep
+    model = MixtureModel(prof, d)
+    coarse, tau = gaussmix.coarse_model(model)
+    live = prof.sigmas > 0
+    assert np.array_equal(coarse.profile.sigmas[: np.count_nonzero(~live)], prof.sigmas[~live])
+    assert coarse.profile.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(coarse.profile.sigmas) <= np.count_nonzero(live)
+    gen = np.random.default_rng(seed)
+    top = float(prof.sigmas[-1]) or 1.0
+    c2 = top**2 * np.concatenate([[0.0], 10.0 ** gen.uniform(-3, 4, 40)])
+    r2 = c2 * gen.uniform(0.0, 2.0, c2.size) + top**2 * gen.uniform(0.0, 9.0, c2.size)
+    exact = gaussmix.mixture_masses_sq(model, c2, r2)
+    assert np.all(np.abs(exact - gaussmix.mixture_masses_sq(coarse, c2, r2)) <= tau)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coarse_model_brackets_masses_on_the_convolution_route(d):
+    # lam = 1e12 with x within a few standard deviations of it, where chndtr
+    # gives nan and the kernel integrates (special._convolved)
+    prof = Profile.from_scales(np.concatenate([[0.0], 0.5 * np.exp(np.linspace(0.0, 0.2, 12))]))
+    model = MixtureModel(prof, d)
+    coarse, tau = gaussmix.coarse_model(model)
+    assert np.count_nonzero(coarse.profile.sigmas) < 12
+    c2 = np.full(4, 1e12 * 0.5**2)
+    r2 = c2 + 0.5**2 * 2e6 * np.array([-2.0, -0.5, 0.0, 1.5])
+    with mock.patch.object(special, "_convolved", wraps=special._convolved) as conv:
+        exact = gaussmix.mixture_masses_sq(model, c2, r2)
+    assert conv.called
+    assert np.all(np.abs(exact - gaussmix.mixture_masses_sq(coarse, c2, r2)) <= tau)
