@@ -3,8 +3,9 @@ estimation, bound evaluation, and the figure-level experiments.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 data or IO error.
 Every numeric value is printed in shortest round-trip decimal form, and any
-run is reproducible from its command line and seed; --threads only changes
-wall time, never output bytes.
+run is reproducible from its command line and seed. --threads sets how many
+experiment cells run at once; it never changes output bytes, and gen,
+project, discrepancy and bounds accept it and ignore it.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _cmd_discrepancy(args) -> int:
             args.eps, sigma_epsilon(prof, args.eps), mean_eigenvalue(src), args.d
         )
         net = build_ball_net(args.d, npar.c, npar.eps_o)
-        report = sup_over_net(proj, model, net, threads=args.threads)
+        report = sup_over_net(proj, model, net)
     elif args.estimator == "radial":
         report = radial_sweep_sup(proj, model)
     else:
@@ -229,7 +230,6 @@ def _cmd_discrepancy(args) -> int:
             seed=args.seed,
             center_box=box,
             max_radius=max_radius,
-            threads=args.threads,
         )
     report = dataclasses.replace(report, seed=args.seed)
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
@@ -364,13 +364,24 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return n
+
+
 def _add_common(sub: argparse.ArgumentParser, default=0) -> None:
     sub.add_argument("--seed", type=int, default=default, help="base seed (default 0)")
     sub.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=default,
-        help="worker threads, 0 = auto; never affects results",
+        help="experiment cells run at once, 0 = one per CPU; other commands "
+        "ignore it; never affects results",
     )
 
 

@@ -355,7 +355,7 @@ def _pruning(model: MixtureModel, n_balls: int):
     return coarse, tau
 
 
-def _best_score(model: MixtureModel, n_balls: int, blocks, score, threads: int = 1) -> tuple:
+def _best_score(model: MixtureModel, n_balls: int, blocks, score) -> tuple:
     """(value, center, s, pred, aux) of the first candidate with the largest
     score over n_balls balls; the scoring core of every estimator.
 
@@ -403,7 +403,7 @@ def _best_score(model: MixtureModel, n_balls: int, blocks, score, threads: int =
         aux = [a[keep, None] for a in aux]
         # balls of equal (c2, r2) share one kernel evaluation
         pairs, inv = np.unique(np.stack([c2, r2], axis=1), axis=0, return_inverse=True)
-        pred = mixture_masses_sq(model, pairs[:, 0], pairs[:, 1], threads)[inv.ravel(), None]
+        pred = mixture_masses_sq(model, pairs[:, 0], pairs[:, 1])[inv.ravel(), None]
         scores = score(pred, *aux)
         j = int(np.argmax(scores[np.arange(keep.size), side, 0]))
         i = np.ravel_multi_index((j, side[j], 0), scores.shape)
@@ -448,7 +448,7 @@ def _abs_gap(pred, emp, radii):
     return np.abs(emp - pred)[:, None, :]
 
 
-def _net_blocks(model: MixtureModel, net: BallNet, threads: int = 1):
+def _net_blocks(model: MixtureModel, net: BallNet):
     """(centers, radii, predicted) blocks of the grid balls in net order.
 
     F-bar(B(c, r)) depends on c only through ||c||^2, and the symmetric
@@ -470,7 +470,7 @@ def _net_blocks(model: MixtureModel, net: BallNet, threads: int = 1):
     table = np.empty((len(uniq), k))
     step = max(1, 2**19 // k)
     for s in range(0, len(uniq), step):
-        table[s : s + step] = mixture_masses_sq(model, uniq[s : s + step, None], r2, threads)
+        table[s : s + step] = mixture_masses_sq(model, uniq[s : s + step, None], r2)
     start = 0
     for block in centers:
         rows = row_of[start : start + len(block)]
@@ -478,18 +478,15 @@ def _net_blocks(model: MixtureModel, net: BallNet, threads: int = 1):
         yield block, np.broadcast_to(net.radii, (len(block), k)), table[rows]
 
 
-def sup_over_net(
-    cloud, model: MixtureModel, net: BallNet, threads: int = 1
-) -> DiscrepancyReport:
-    """Exact max of |empirical - predicted| over the net balls; the kernel
-    runs on up to ``threads`` worker threads (0: one per CPU)."""
+def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
+    """Exact max of |empirical - predicted| over the net balls."""
     pts = _as_points(cloud, net.d)
     n = pts.shape[0]
     _check_work(model, net.n_grid_balls, "the ball net", "use the mc estimator")
     r2 = net.radii**2
 
     def blocks(m):
-        for centers, radii, pred in _net_blocks(m, net, threads):
+        for centers, radii, pred in _net_blocks(m, net):
             emp = _count_within(pts, centers, radii * radii) / n
             c2 = np.einsum("...j,...j->...", centers, centers)[:, None]
             yield centers, c2, r2, pred, (emp, radii)
@@ -497,9 +494,7 @@ def sup_over_net(
     # a net without grid balls still holds the ALL ball
     best = (0.0, Ball.all_space(net.d), 1.0, 1.0)
     if net.n_grid_balls:
-        value, center, _, pred, (emp, radius) = _best_score(
-            model, net.n_grid_balls, blocks, _abs_gap, threads
-        )
+        value, center, _, pred, (emp, radius) = _best_score(model, net.n_grid_balls, blocks, _abs_gap)
         best = (value, Ball(center.copy(), radius), emp, pred)
     return _report("net", best, n, 0, {"c": net.c, "eps_o": net.eps_o, "n_balls": len(net)})
 
@@ -554,9 +549,7 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
     hi, lo = frac[None, 1:], frac[None, :-1]
 
     def blocks(m):
-        # a block of centers at a time, one kernel call per block. The sweep
-        # stays serial: a block is below one 2^17-pair kernel chunk, and the
-        # kernel threads only calls of two or more chunks
+        # a block of centers at a time, one kernel call per block
         live = max(1, int(np.count_nonzero(m.profile.sigmas)))
         step = max(1, _SWEEP_BLOCK_PAIRS // (live * n))
         for s in range(0, len(cens), step):
@@ -609,11 +602,9 @@ def mc_ball_sup(
     seed: int = 0,
     center_box: float = 4.0,
     max_radius: float = 6.0,
-    threads: int = 1,
 ) -> DiscrepancyReport:
     """Max discrepancy over random balls: centers uniform in the box
-    [-center_box, center_box]^d, radii uniform in (0, max_radius]. The
-    kernel runs on up to ``threads`` worker threads (0: one per CPU).
+    [-center_box, center_box]^d, radii uniform in (0, max_radius].
 
     The ball stream is a prefix: growing n_balls with the same seed keeps
     every earlier ball, so the reported value never decreases.
@@ -636,9 +627,9 @@ def mc_ball_sup(
             c, r = centers[s : s + 512], radii[s : s + 512]
             emp = _count_within(pts, c, r * r) / n
             c2 = np.einsum("...j,...j->...", c[:, None, :], c[:, None, :])
-            yield c, c2, r**2, mixture_masses_pairs(m, c[:, None, :], r, threads), (emp, r)
+            yield c, c2, r**2, mixture_masses_pairs(m, c[:, None, :], r), (emp, r)
 
-    value, center, _, pred, (emp, radius) = _best_score(model, n_balls, blocks, _abs_gap, threads)
+    value, center, _, pred, (emp, radius) = _best_score(model, n_balls, blocks, _abs_gap)
     return _report(
         "mc",
         (value, Ball(center.copy(), radius), emp, pred),

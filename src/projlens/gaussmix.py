@@ -21,8 +21,6 @@ against it first to rule balls out (``discrepancy._best_score``).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,6 @@ from .special import chisq_cdf, chisq_cdf_pairs  # noqa: F401  (re-exported)
 # (live atom, ball) pairs per CDF call of the kernel; with one atom the
 # scratch of some 100 B a pair stays near 13 MB a chunk
 _CHUNK_PAIRS = 2**17
-# chunks one kernel call runs at once, whatever its thread count or the
-# machine's CPU count, so the scratch in flight stays near 25 MB
-_MAX_IN_FLIGHT = 2
 # width of the log-sigma bins of ``coarse_model``, times sqrt(d); the
 # distance between a Gaussian and its bin's grows with sqrt(d) times the
 # log-scale gap, so every bin moves a mass by about the same amount (tau is
@@ -151,9 +146,7 @@ def mixture_ball_mass(model: MixtureModel, ball: Ball) -> float:
     return float(mixture_masses_pairs(model, ball.center[None, :], [ball.radius])[0])
 
 
-def mixture_masses_pairs(
-    model: MixtureModel, centers: np.ndarray, radii, threads: int = 1
-) -> np.ndarray:
+def mixture_masses_pairs(model: MixtureModel, centers: np.ndarray, radii) -> np.ndarray:
     """F-bar over many balls at once: ``mixture_masses_sq`` of the squared
     norms of ``centers`` (taken over the last axis) and the squared ``radii``.
 
@@ -164,22 +157,16 @@ def mixture_masses_pairs(
         model,
         np.einsum("...j,...j->...", centers, centers),
         np.asarray(radii, dtype=float) ** 2,
-        threads,
     )
 
 
-def mixture_masses_sq(model: MixtureModel, c2, r2, threads: int = 1) -> np.ndarray:
+def mixture_masses_sq(model: MixtureModel, c2, r2) -> np.ndarray:
     """F-bar(B(c, r)) from ||c||^2 and r^2, broadcast against each other; the
     one mixture-mass kernel.
 
     The (live atom, ball) pairs go through the CDF in chunks of about 2^17
-    pairs, one flattened call per chunk. The chunks are fixed by the input
-    alone, so the values are the same for every ``threads``. A call of two
-    or more chunks runs them on up to ``threads`` worker threads (0: one per
-    CPU), which overlap because the CDF routines release the GIL; a call of
-    one chunk runs in the caller's thread. At most two chunks run at once,
-    so the scratch stays near 2^18 pairs however many balls, threads or
-    CPUs there are.
+    pairs, one flattened call per chunk, so the scratch stays near 2^17
+    pairs however many balls there are.
     """
     c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
     sigmas = model.profile.sigmas
@@ -191,24 +178,12 @@ def mixture_masses_sq(model: MixtureModel, c2, r2, threads: int = 1) -> np.ndarr
     live_w = weights[~zero]
     c2, r2, flat = c2.reshape(-1, 1), r2.reshape(-1, 1), total.reshape(-1)
     step = max(1, _CHUNK_PAIRS // max(live_w.size, 1))
-
-    def chunk(start: int) -> None:
+    for start in range(0, flat.size, step):
         # (ball, atom) rows, each summed on its own: a ball's mass then does
         # not depend on how many balls share its chunk
         lam = c2[start : start + step] / s2
         vals = chisq_cdf_pairs(model.d, lam.ravel(), (r2[start : start + step] / s2).ravel())
         flat[start : start + step] += (vals.reshape(lam.shape) * live_w).sum(axis=1)
-
-    starts = range(0, flat.size, step)
-    workers = min(threads if threads > 0 else os.cpu_count() or 1, _MAX_IN_FLIGHT, len(starts))
-    if workers <= 1:
-        for start in starts:
-            chunk(start)
-    else:
-        # chunks write disjoint slices; reading every result re-raises errors
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(chunk, starts):
-                pass
     return np.minimum(total, 1.0, out=total)
 
 

@@ -47,6 +47,19 @@ def test_help_and_usage_errors():
 
 
 @pytest.mark.parametrize(
+    "command",
+    [("gen", "--shape", "simplex", "--dim", 5, "--out", "x.csv"),
+     ("experiment", "profile_table", "--out-dir", ".")],
+    ids=["gen", "experiment"],
+)
+def test_negative_threads_is_refused(tmp_path, command):
+    res = run_cli(*command, "--threads", -4, cwd=tmp_path)
+    assert res.returncode == 1
+    assert "argument --threads: must be an integer >= 0, got '-4'" in res.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "name, flag",
     [("figure4", "--n"), ("cube1d", "--d"), ("decay", "--eps"), ("profile_table", "--grid")],
 )
@@ -233,9 +246,8 @@ def test_discrepancy_bad_label_exits_two(tmp_path, label):
 
 
 def test_discrepancy_output_identical_across_threads(tmp_path):
-    # mc: 700 atoms by a 512-ball block is two kernel chunks; net: at
-    # eps = 0.4 the table of distinct squared norms holds 4e5 balls, two
-    # chunks at one atom
+    # --threads must not reach the bytes of either estimator: mc scores 700
+    # atoms through the pruned path, net at d = 1 a table of 4e5 norms
     cluster = tmp_path / "tc.csv"
     simplex = tmp_path / "sx.csv"
     run_cli("gen", "--shape", "twocluster", "--dim", 20, "--n", 700, "--out", cluster)

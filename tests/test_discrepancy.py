@@ -629,7 +629,7 @@ def test_net_table_gives_every_ball_its_own_mass(d, c, eps_o):
     model = MixtureModel(Profile.from_scales([0.0, 0.05, 0.3, 1.0]), d)
     net = build_ball_net(d, c, eps_o)
     balls = iter(net)
-    for centers, radii, pred in _net_blocks(model, net, threads=2):
+    for centers, radii, pred in _net_blocks(model, net):
         for i, j in np.ndindex(pred.shape):
             ball = next(balls)
             assert np.array_equal(centers[i], ball.center) and radii[i, j] == ball.radius
@@ -648,10 +648,9 @@ def test_sup_over_net_is_first_max_over_every_ball(d):
         value = abs(empirical_mass(pts, ball) - mixture_ball_mass(model, ball))
         if value > want:
             want, witness = value, ball
-    for threads in (1, 2):
-        report = sup_over_net(pts, model, net, threads=threads)
-        assert report.value == want
-        assert report.witness == witness
+    report = sup_over_net(pts, model, net)
+    assert report.value == want
+    assert report.witness == witness
 
 
 # many atoms in a narrow band of log sigma, as empirical profiles have them,

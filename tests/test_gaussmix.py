@@ -1,6 +1,7 @@
 """Ball algebra and scale-mixture mass tests."""
 
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -173,48 +174,35 @@ def test_batched_masses_match_scalar():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_masses_identical_across_threads(d):
-    # 600 atoms by 1500 balls is seven chunks of the kernel, so threads=2
-    # runs them on the pool
+def test_masses_independent_of_chunks(d):
+    # 600 atoms by 1500 balls is seven chunks of the kernel; a ball scored
+    # alone gets the same bits as inside that call
     gen = np.random.default_rng(d)
     model = MixtureModel(Profile.from_scales(gen.uniform(0.05, 2.0, 600)), d)
     centers = gen.normal(size=(1500, d)) * 2
     radii = gen.uniform(0.0, 4.0, 1500)
-    serial = mixture_masses_pairs(model, centers, radii, threads=1)
-    for threads in (2, 0):
-        got = mixture_masses_pairs(model, centers, radii, threads=threads)
-        assert got.tobytes() == serial.tobytes()
-    # and a ball scored alone gets the same bits as in a chunk of many
+    many = mixture_masses_pairs(model, centers, radii)
     alone = [mixture_ball_mass(model, Ball(c, r)) for c, r in zip(centers[::3], radii[::3])]
-    assert np.array(alone).tobytes() == serial[::3].tobytes()
+    assert np.array(alone).tobytes() == many[::3].tobytes()
 
 
-def test_kernel_runs_at_most_two_chunks_at_once(monkeypatch):
-    # the scratch in flight is bounded whatever the thread count asks for
-    import threading
-    import time
-
-    from projlens import gaussmix
-
-    lock, running, peak = threading.Lock(), [0], [0]
+def test_kernel_chunks_stay_within_scratch_bound(monkeypatch):
+    # every CDF call holds at most _CHUNK_PAIRS pairs and runs on the
+    # caller's thread, however many balls the kernel gets
+    calls = []
     cdf = gaussmix.chisq_cdf_pairs
 
     def counted(d, lam, x):
-        with lock:
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-        time.sleep(0.02)
-        with lock:
-            running[0] -= 1
+        calls.append((lam.size, threading.get_ident()))
         return cdf(d, lam, x)
 
     monkeypatch.setattr(gaussmix, "chisq_cdf_pairs", counted)
     model = _model([1.0], [1.0], 1)
     c2 = np.linspace(0.0, 4.0, 6 * gaussmix._CHUNK_PAIRS)
-    got = gaussmix.mixture_masses_sq(model, c2, 1.0, threads=8)
-    assert peak[0] == 2
-    monkeypatch.setattr(gaussmix, "chisq_cdf_pairs", cdf)
-    assert got.tobytes() == gaussmix.mixture_masses_sq(model, c2, 1.0).tobytes()
+    gaussmix.mixture_masses_sq(model, c2, 1.0)
+    assert len(calls) == 6
+    assert all(size <= gaussmix._CHUNK_PAIRS for size, _ in calls)
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def test_masses_of_one_center_and_one_radius():
