@@ -15,13 +15,16 @@ data distances at each center. One scoring core serves all three. It counts
 points in balls from the squared distances to a block of centers, in the one
 form empirical_mass also uses, and keeps the first maximum in candidate order.
 
-Where the profile has many atoms and the exact scoring would be large, the
-core first scores every ball against a coarse model of few atoms
-(``gaussmix.coarse_model``), whose masses are all within a proven tau of the
-exact ones. Only the balls whose coarse score is within 2 tau of the best go
-through the exact kernel, with the inputs the unpruned scoring would give
-it. Every ball that ties the exact maximum is among them, so the reports are
-the same, bit for bit, as when every ball is scored exactly.
+Where the exact scoring would be large, the core first scores every ball by
+a cheaper pass whose masses are all within a proven tau of the exact ones:
+at d >= 2, on a many-atom profile, the kernel on a coarse model of few atoms
+(``gaussmix.coarse_model``); at d = 1, one-atom profiles included, the
+closed-form interval mass (``gaussmix.interval_masses``) on the coarse model
+or the model itself, tau growing by 1e-9. Only the balls whose first-pass
+score is within 2 tau of the best go through the exact kernel, with the
+inputs the unpruned scoring would give it. Every ball that ties the exact
+maximum is among them, so the reports are the same, bit for bit, as when
+every ball is scored exactly.
 
 Closed balls throughout; boundary ties count as inside.
 """
@@ -37,11 +40,12 @@ import numpy as np
 from . import rng
 from .datasets import PointCloud, SizeLimitError
 from .gaussmix import (
+    _COARSE_SLACK,
     Ball,
     MixtureModel,
     coarse_model,
+    interval_masses,
     mixture_ball_mass,
-    mixture_masses_pairs,
     mixture_masses_sq,
 )
 
@@ -58,12 +62,16 @@ _NET_GRID_RTOL = 1e-9
 # kernel's per-call cost; the decay-oneatom bench worker peaked at 63 MB with
 # this budget, 72 MB with 2^16 pairs and 62 MB with one center a call
 _SWEEP_BLOCK_PAIRS = 2**14
-# an estimate scores its balls against a coarse model first (``_best_score``)
-# only where its exact scoring needs at least _PRUNE_MIN_PAIRS (live atom,
-# ball) pairs and the coarse model holds at most 1 / _PRUNE_ATOM_SHARE of
-# the live atoms. On two-cluster profiles at d = 2 the coarse pass broke even
-# near 1e4 pairs: 2.2 ms against 1.7 ms exact at 4352 pairs, 2.5 against 5.0
-# ms at 14400, 7.9 against 42 ms at 127500 (radial sweeps, one Xeon core)
+# an estimate scores its balls by a first pass (``_best_score``) only where
+# its exact scoring needs at least _PRUNE_MIN_PAIRS (live atom, ball) pairs,
+# a quarter of that at d = 1; at d >= 2 the coarse model must also hold at
+# most 1 / _PRUNE_ATOM_SHARE of the live atoms. On two-cluster profiles at
+# d = 2 the coarse pass broke even near 1.2e4 pairs: 1.8 ms against 1.4 ms
+# exact at 4352 pairs, 2.9 against 2.7 ms at 11132, 1.5 against 3.3 ms at
+# 14400 (radial sweeps, one core of a 2-core machine). The d = 1 closed form
+# costs about 40 % of the kernel per pair, and on the one-atom simplex its
+# pass broke even near 4e3 pairs: 0.50 against 0.47 ms at 2070 pairs, 0.58
+# against 0.61 ms at 4160, 0.97 against 1.57 ms at 10302 (radial sweeps)
 _PRUNE_MIN_PAIRS = 2**14
 _PRUNE_ATOM_SHARE = 4
 # candidates the pruned scoring holds before it rescores them exactly
@@ -342,37 +350,48 @@ def _count_within(pts: np.ndarray, centers: np.ndarray, sq_radii: np.ndarray) ->
 
 
 def _pruning(model: MixtureModel, n_balls: int):
-    """(coarse model, tau) where scoring against the coarse model first saves
-    work, else None: scoring n_balls exactly must send at least
-    _PRUNE_MIN_PAIRS (live atom, ball) pairs through the kernel, and the
-    coarse model must hold at most 1 / _PRUNE_ATOM_SHARE of the live atoms."""
+    """(m, masses, tau) of a first pass that saves work, else None: every
+    mass ``masses(m, c2, r2)`` is within tau of the kernel's under the model.
+    Scoring n_balls exactly must send at least _PRUNE_MIN_PAIRS (live atom,
+    ball) pairs through the kernel, a quarter of that at d = 1, where the
+    first pass is cheaper. m is the coarse model where it holds at most
+    1 / _PRUNE_ATOM_SHARE of the live atoms, else the model itself. At d = 1
+    the masses are the closed form ``interval_masses``, which adds
+    _COARSE_SLACK to tau; at d >= 2 they are the kernel's on the coarse
+    model, and without one there is no first pass."""
     live = int(np.count_nonzero(model.profile.sigmas))
-    if n_balls * live < _PRUNE_MIN_PAIRS or live < _PRUNE_ATOM_SHARE:
+    if n_balls * live < (_PRUNE_MIN_PAIRS // 4 if model.d == 1 else _PRUNE_MIN_PAIRS):
         return None
-    coarse, tau = coarse_model(model)
-    if np.count_nonzero(coarse.profile.sigmas) * _PRUNE_ATOM_SHARE > live:
+    m, tau = model, 0.0
+    if live >= _PRUNE_ATOM_SHARE:
+        coarse, coarse_tau = coarse_model(model)
+        if np.count_nonzero(coarse.profile.sigmas) * _PRUNE_ATOM_SHARE <= live:
+            m, tau = coarse, coarse_tau
+    if model.d == 1:
+        return m, interval_masses, tau + _COARSE_SLACK
+    if m is model:
         return None
-    return coarse, tau
+    return m, mixture_masses_sq, tau
 
 
 def _best_score(model: MixtureModel, n_balls: int, blocks, score) -> tuple:
     """(value, center, s, pred, aux) of the first candidate with the largest
     score over n_balls balls; the scoring core of every estimator.
 
-    ``blocks(m)`` yields, for a (rows, cols) block of balls, (centers (rows,
-    d), c2, r2, pred, aux): the kernel's inputs ||c||^2 and r^2, the masses
-    under the model m, and a tuple of arrays, each broadcasting to (rows,
-    cols). ``score(pred, *aux)`` maps them, element by element, to (rows, S,
-    cols) scores, S candidates per ball, in candidate order. The winner's
-    center row, its s, and its pred and aux values come back.
+    ``blocks(m, masses)`` yields, for a (rows, cols) block of balls,
+    (centers (rows, d), c2, r2, pred, aux): ||c||^2 and r^2, the masses
+    ``masses(m, c2, r2)``, and a tuple of arrays, each broadcasting to
+    (rows, cols). ``score(pred, *aux)`` maps them, element by element, to
+    (rows, S, cols) scores, S candidates per ball, in candidate order. The
+    winner's center row, its s, and its pred and aux values come back.
 
-    Where ``_pruning`` finds it pays, the blocks are scored against a
-    coarse model whose every mass is within tau of the exact one, and so is
-    every score. The exact maximum is at least the running floor: the best
-    coarse score less tau, or the best exact score found so far. So a
-    candidate whose coarse score plus tau is below the floor cannot reach
-    it, and only the others are kept. They are rescored with the exact
-    kernel, on the same c2, r2 bits, in candidate order, whenever more than
+    Where ``_pruning`` finds it pays, the blocks are scored by a first pass
+    whose every mass is within tau of the kernel's, and so is every score.
+    The exact maximum is at least the running floor: the best first-pass
+    score less tau, or the best exact score found so far. So a candidate
+    whose first-pass score plus tau is below the floor cannot reach it, and
+    only the others are kept. They are rescored with the exact kernel, on
+    the same c2, r2 bits, in candidate order, whenever more than
     _PRUNE_MAX_KEPT are held and at the end. Every candidate that ties the
     exact maximum is kept, so the winner is the one the unpruned scoring
     finds.
@@ -380,23 +399,23 @@ def _best_score(model: MixtureModel, n_balls: int, blocks, score) -> tuple:
     pruning = _pruning(model, n_balls)
     best = None
     if pruning is None:
-        for centers, _, _, pred, aux in blocks(model):
+        for centers, _, _, pred, aux in blocks(model, mixture_masses_sq):
             scores = score(pred, *aux)
             i = int(np.argmax(scores))
             if best is None or scores.flat[i] > best[0]:
                 best = _candidate(scores, i, centers, pred, aux)
         return best
 
-    coarse, tau = pruning
+    first, masses, tau = pruning
     floor, kept = -math.inf, []
 
     def rescore():
         nonlocal best, floor
         if not kept:
             return
-        coarse_s, cens, side, c2, r2, *aux = (np.concatenate(parts) for parts in zip(*kept))
+        first_s, cens, side, c2, r2, *aux = (np.concatenate(parts) for parts in zip(*kept))
         kept.clear()
-        keep = np.flatnonzero(coarse_s + tau >= floor)
+        keep = np.flatnonzero(first_s + tau >= floor)
         if keep.size == 0:
             return
         cens, side, c2, r2 = cens[keep], side[keep], c2[keep], r2[keep]
@@ -412,10 +431,12 @@ def _best_score(model: MixtureModel, n_balls: int, blocks, score) -> tuple:
             floor = max(floor, best[0])
 
     n_kept = 0
-    for centers, c2, r2, pred, aux in blocks(coarse):
+    for centers, c2, r2, pred, aux in blocks(first, masses):
         scores = score(pred, *aux)
         floor = max(floor, float(scores.max()) - tau)
         f = np.flatnonzero(scores + tau >= floor)
+        if f.size == 0:
+            continue
         row, side, col = np.unravel_index(f, scores.shape)
         shape = (scores.shape[0], scores.shape[2])
 
@@ -448,16 +469,17 @@ def _abs_gap(pred, emp, radii):
     return np.abs(emp - pred)[:, None, :]
 
 
-def _net_blocks(model: MixtureModel, net: BallNet):
-    """(centers, radii, predicted) blocks of the grid balls in net order.
+def _net_blocks(model: MixtureModel, net: BallNet, masses=mixture_masses_sq):
+    """(centers, radii, predicted) blocks of the grid balls in net order, the
+    predicted masses ``masses(model, c2, r2)``: by default the kernel's.
 
     F-bar(B(c, r)) depends on c only through ||c||^2, and the symmetric
     axis repeats squared norms: each comes about twice at d = 1, 8 times at
-    d = 2 and 48 times at d = 3. So the kernel scores a table of the
+    d = 2 and 48 times at d = 3. So ``masses`` scores a table of the
     distinct squared norms against the radii, and each block gathers its
-    rows: every ball gets the kernel's value for the bits of its own
-    ||c||^2. The table goes to the kernel some 2^19 balls a call, which
-    bounds the per-ball arrays of a call. It holds one double per distinct
+    rows: every ball gets the value for the bits of its own ||c||^2. The
+    table is scored some 2^19 balls a call, which bounds the per-ball
+    arrays of a call. It holds one double per distinct
     norm and radius, so unlike the blocks it grows with the net: about
     n_grid_balls / 2 doubles at d = 1 (38 MB at NET_SIZE_LIMIT), far fewer at
     d >= 2.
@@ -470,7 +492,7 @@ def _net_blocks(model: MixtureModel, net: BallNet):
     table = np.empty((len(uniq), k))
     step = max(1, 2**19 // k)
     for s in range(0, len(uniq), step):
-        table[s : s + step] = mixture_masses_sq(model, uniq[s : s + step, None], r2)
+        table[s : s + step] = masses(model, uniq[s : s + step, None], r2)
     start = 0
     for block in centers:
         rows = row_of[start : start + len(block)]
@@ -485,8 +507,8 @@ def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
     _check_work(model, net.n_grid_balls, "the ball net", "use the mc estimator")
     r2 = net.radii**2
 
-    def blocks(m):
-        for centers, radii, pred in _net_blocks(m, net):
+    def blocks(m, masses):
+        for centers, radii, pred in _net_blocks(m, net, masses):
             emp = _count_within(pts, centers, radii * radii) / n
             c2 = np.einsum("...j,...j->...", centers, centers)[:, None]
             yield centers, c2, r2, pred, (emp, radii)
@@ -548,19 +570,17 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
     frac = np.arange(n + 1) / n
     hi, lo = frac[None, 1:], frac[None, :-1]
 
-    def blocks(m):
-        # a block of centers at a time, one kernel call per block
+    def blocks(m, masses):
+        # a block of centers at a time, one call of masses per block
         live = max(1, int(np.count_nonzero(m.profile.sigmas)))
         step = max(1, _SWEEP_BLOCK_PAIRS // (live * n))
         for s in range(0, len(cens), step):
             block = cens[s : s + step]
             sq = _sq_dists(pts, block)
             sq.sort(axis=1)
-            radii = np.sqrt(sq)
             c2 = np.einsum("...j,...j->...", block[:, None, :], block[:, None, :])
-            r2 = radii**2
-            pred = mixture_masses_pairs(m, block[:, None, :], radii)
-            yield block, c2, r2, pred, (hi, lo, c2, r2, sq)
+            r2 = np.sqrt(sq) ** 2
+            yield block, c2, r2, masses(m, c2, r2), (hi, lo, c2, r2, sq)
 
     def score(pred, hi, lo, c2, r2, sq):
         # sq[i, j] has j points before it and j + 1 within it. For a tied
@@ -622,12 +642,13 @@ def mc_ball_sup(
     centers = center_box * (2.0 * u[:, :d] - 1.0)
     radii = max_radius * (1.0 - u[:, d:])
 
-    def blocks(m):
+    def blocks(m, masses):
         for s in range(0, n_balls, 512):
             c, r = centers[s : s + 512], radii[s : s + 512]
             emp = _count_within(pts, c, r * r) / n
             c2 = np.einsum("...j,...j->...", c[:, None, :], c[:, None, :])
-            yield c, c2, r**2, mixture_masses_pairs(m, c[:, None, :], r), (emp, r)
+            r2 = r**2
+            yield c, c2, r2, masses(m, c2, r2), (emp, r)
 
     value, center, _, pred, (emp, radius) = _best_score(model, n_balls, blocks, _abs_gap)
     return _report(

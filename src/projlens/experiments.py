@@ -126,12 +126,19 @@ def write_report(result: ExperimentResult, out_dir, command: str = "") -> list[P
     return paths
 
 
+def _check_threads(threads: int) -> None:
+    """Refuse a negative cell-pool size, before a runner does any work."""
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
+
+
 def _run_cells(keys: list, fn, threads: int) -> dict:
-    """Evaluate fn over cell keys, possibly in a thread pool; the merge is
-    keyed, so scheduling order cannot influence the result."""
+    """Evaluate fn over cell keys, possibly in a thread pool of ``threads``
+    workers (0 = one per CPU); the merge is keyed, so scheduling order cannot
+    influence the result."""
     if threads == 1 or len(keys) <= 1:
         return {key: fn(key) for key in keys}
-    workers = threads if threads > 0 else min(32, os.cpu_count() or 1)
+    workers = threads or min(32, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         values = list(pool.map(fn, keys))
     return dict(zip(keys, values))
@@ -180,6 +187,7 @@ def run_figure4(
     exactly zero by construction (the centered vertices sum to zero), and a
     raw sample's ~1/sqrt(n) mean offset is detectable at this ball budget.
     """
+    _check_threads(threads)
     seeds = _seed_list(seed, n_seeds)
     source = center(gen_simplex(D))
     n = source.n
@@ -254,6 +262,7 @@ def run_decay(
 
     threads pools the mc cells only; radial cells run serially.
     """
+    _check_threads(threads)
     if estimator not in ("radial", "mc"):
         raise ValueError(f"estimator must be radial or mc, got {estimator!r}")
     seeds = _seed_list(seed, n_seeds)
@@ -317,6 +326,7 @@ def run_cube1d(
     floor of about 0.86/sqrt(n) dominates beyond D of a few hundred, which
     flattens the fitted slope. The table reports what is actually measured.
     """
+    _check_threads(threads)
     seeds = _seed_list(seed, n_seeds)
     grid = tuple(int(v) for v in grid)
     if len(grid) < 2:
@@ -365,6 +375,7 @@ def run_twocluster(
     labeled cluster (same projection map) collapses both the discrepancy and
     the eccentricity.
     """
+    _check_threads(threads)
     seeds = _seed_list(seed, n_seeds)
 
     def one(cloud: PointCloud, pmap, ball_seed: int):

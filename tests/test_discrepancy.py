@@ -526,20 +526,29 @@ def test_radial_sweep_blocks_equal_per_center_sweep(pts, prof, raw_centers, budg
 
 @pytest.mark.parametrize("d, atoms", [(1, 1), (2, 50)])
 def test_radial_sweep_kernel_calls_stay_within_block_budget(monkeypatch, d, atoms):
-    # each kernel call of the sweep scores at most 2^14 (live atom, ball)
-    # pairs, unless one center alone has more
+    # each block of the sweep is scored in one call of at most 2^14 (live
+    # atom, ball) pairs, unless one center alone has more: by the kernel, or
+    # at d = 1 by the closed-form bracket (the exact rescoring of the few
+    # kept balls takes flat arrays and is not a block)
     gen = np.random.default_rng(d)
     n = 400 if atoms == 1 else 50
     pts = gen.normal(size=(n, d))
     model = MixtureModel(Profile.from_scales(np.linspace(0.5, 2.0, atoms)), d)
     calls = []
 
-    def counted(model, centers, radii, *args):
-        shape = np.broadcast_shapes(np.shape(centers)[:-1], np.shape(radii))
-        calls.append((math.prod(shape) * atoms, math.prod(np.shape(centers)[:-1])))
-        return mixture_masses_pairs(model, centers, radii, *args)
+    def counted(name):
+        masses = getattr(discrepancy, name)
 
-    monkeypatch.setattr(discrepancy, "mixture_masses_pairs", counted)
+        def wrapped(m, c2, r2):
+            if np.ndim(c2) == 2:
+                pairs = np.broadcast(c2, r2).size * np.count_nonzero(m.profile.sigmas)
+                calls.append((pairs, len(c2)))
+            return masses(m, c2, r2)
+
+        monkeypatch.setattr(discrepancy, name, wrapped)
+
+    counted("mixture_masses_sq")
+    counted("interval_masses")
     radial_sweep_sup(pts, model)
     assert sum(centers for _, centers in calls) == n + 1
     for pairs, centers in calls:
@@ -707,24 +716,23 @@ def _radial_manyatom_input(n=50, seed=1):
 
 
 def _count_kernel_pairs(monkeypatch, exact):
-    """Patch the estimators' two kernel entry points; returns a list that
-    collects, per call, (live atom, ball) pairs and whether the model was
-    ``exact``."""
+    """Patch the estimators' two mass evaluators, the kernel and the d = 1
+    closed form; returns a list that collects, per call, (live atom, ball)
+    pairs, whether the model was ``exact``, and the evaluator's name."""
     calls = []
 
-    def counted(name, sq):
-        kernel = getattr(discrepancy, name)
+    def counted(name):
+        masses = getattr(discrepancy, name)
 
-        def wrapped(model, a, b, *args):
-            shape = np.broadcast_shapes(np.shape(a) if sq else np.shape(a)[:-1], np.shape(b))
+        def wrapped(model, c2, r2):
             live = int(np.count_nonzero(model.profile.sigmas))
-            calls.append((math.prod(shape) * live, model is exact, name))
-            return kernel(model, a, b, *args)
+            calls.append((np.broadcast(c2, r2).size * live, model is exact, name))
+            return masses(model, c2, r2)
 
         monkeypatch.setattr(discrepancy, name, wrapped)
 
-    counted("mixture_masses_pairs", False)
-    counted("mixture_masses_sq", True)
+    counted("mixture_masses_sq")
+    counted("interval_masses")
     return calls
 
 
@@ -734,33 +742,59 @@ def test_pruning_cuts_the_exact_work_of_a_many_atom_sweep(monkeypatch):
     want = radial_sweep_sup(pts, model)
     calls = _count_kernel_pairs(monkeypatch, model)
     assert radial_sweep_sup(pts, model) == want
-    exact = sum(pairs for pairs, is_exact, _ in calls if is_exact)
+    exact = sum(p for p, is_exact, name in calls if is_exact and name == "mixture_masses_sq")
     # scoring every (center, radius) exactly takes (n + 1) n live pairs
     assert 0 < exact < (n + 1) * n * live / 4
 
 
-def test_one_atom_and_tiny_calls_keep_the_exact_path(monkeypatch):
-    # the decay-oneatom and cli net inputs (one atom) and the mc-scalemix
-    # one (900 pairs) score every ball once, or every distinct squared norm
-    # of the net once, with the exact model; no coarse model is built
+def _one_atom_input():
+    # the decay-oneatom and cli net inputs: the simplex, one atom, at d = 1
     simplex = center(gen_simplex(200))
     proj = apply(sample_projection(1, 200, 3), simplex).data
-    one_atom = MixtureModel(profile(simplex), 1)
+    return proj, MixtureModel(profile(simplex), 1)
+
+
+def test_one_atom_estimates_rescore_few_balls_exactly(monkeypatch):
+    # at d = 1 every ball is scored once by the closed-form bracket (every
+    # distinct squared norm once for the net), no coarse model is built, and
+    # the exact kernel rescores a few balls; the reports are those of scoring
+    # every ball exactly, byte for byte. The net holds 80 000 balls: the
+    # bracket pays from 2^12 (_PRUNE_MIN_PAIRS / 4 at d = 1)
+    proj, model = _one_atom_input()
+    net = build_ball_net(1, 2.0, 0.01)
+    cases = [
+        (lambda m: radial_sweep_sup(proj, m), (len(proj) + 1) * len(proj)),
+        (lambda m: mc_ball_sup(proj, m, 5000, seed=1), 5000),
+        (lambda m: sup_over_net(proj, m, net), len(np.unique(net.axis**2)) * len(net.radii)),
+    ]
+    for run, pairs in cases:
+        with mock.patch.object(discrepancy, "_PRUNE_MIN_PAIRS", 10**18):
+            want = json.dumps(run(model).to_json())
+        monkeypatch.setattr(discrepancy, "coarse_model", None)
+        calls = _count_kernel_pairs(monkeypatch, model)
+        assert json.dumps(run(model).to_json()) == want
+        assert all(is_exact for _, is_exact, _ in calls)
+        assert sum(p for p, _, name in calls if name == "interval_masses") == pairs
+        assert 0 < sum(p for p, _, name in calls if name == "mixture_masses_sq") <= 4
+        monkeypatch.undo()
+
+
+def test_tiny_calls_keep_the_exact_path(monkeypatch):
+    # the mc-scalemix input (900 pairs, d = 2) and a one-atom mc stream
+    # under _PRUNE_MIN_PAIRS / 4 (2000 pairs, d = 1) score every ball once
+    # with the exact kernel and model; no coarse model is built
+    proj, one_atom = _one_atom_input()
     gen = np.random.default_rng(5)
     scales = np.repeat([0.1, 1.0, 3.0], 150) * np.exp(gen.normal(0.0, 0.02, 450))
     scalemix = MixtureModel(Profile.from_scales(scales), 2)
-    net = build_ball_net(1, 1.0, 0.05)
     cases = [
-        (one_atom, lambda m: radial_sweep_sup(proj, m), (len(proj) + 1) * len(proj)),
-        (one_atom, lambda m: mc_ball_sup(proj, m, 5000, seed=1), 5000),
-        (one_atom, lambda m: sup_over_net(proj, m, net),
-         len(np.unique(net.axis**2)) * len(net.radii)),
+        (one_atom, lambda m: mc_ball_sup(proj, m, 2000, seed=1), 2000),
         (scalemix, lambda m: mc_ball_sup(gen.normal(size=(450, 2)), m, 2, seed=2), 900),
     ]
     for model, run, pairs in cases:
         monkeypatch.setattr(discrepancy, "coarse_model", None)
         calls = _count_kernel_pairs(monkeypatch, model)
         run(model)
-        assert all(is_exact for _, is_exact, _ in calls)
+        assert all(is_exact and name == "mixture_masses_sq" for _, is_exact, name in calls)
         assert sum(p for p, _, _ in calls) == pairs
         monkeypatch.undo()

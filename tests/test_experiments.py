@@ -188,6 +188,28 @@ def test_decay_parameter_validation():
         run_cube1d(n_seeds=0)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t: run_figure4(D=20, n_balls=10, n_seeds=1, threads=t),
+        lambda t: run_decay(estimator="radial", grid=(16, 32), n_seeds=1, threads=t),
+        lambda t: run_decay(estimator="mc", grid=(16, 32), n_seeds=1, threads=t),
+        lambda t: run_cube1d(grid=(16, 32), n=50, n_seeds=1, threads=t),
+        lambda t: run_twocluster(D=10, n=40, n_balls=10, n_seeds=1, threads=t),
+    ],
+    ids=["figure4", "decay-radial", "decay-mc", "cube1d", "twocluster"],
+)
+def test_negative_threads_is_refused(run, monkeypatch):
+    # a negative pool size is refused up front, as the CLI refuses it, and
+    # not read as one worker per CPU; radial decay cells, which run serially
+    # whatever the count, refuse it too
+    from projlens import experiments
+
+    monkeypatch.setattr(experiments, "_run_cells", None)
+    with pytest.raises(ValueError, match=r"threads must be >= 0 .*got -3"):
+        run(-3)
+
+
 def test_run_all_experiments_script_quick(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_experiments.py"
     res = subprocess.run(

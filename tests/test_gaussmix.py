@@ -287,3 +287,55 @@ def test_coarse_model_brackets_masses_on_the_convolution_route(d):
         exact = gaussmix.mixture_masses_sq(model, c2, r2)
     assert conv.called
     assert np.all(np.abs(exact - gaussmix.mixture_masses_sq(coarse, c2, r2)) <= tau)
+
+
+# profiles for the d = 1 bracket: point masses alone, clustered atoms (with
+# point masses now and then), and sigmas spread over six decades
+_interval_profiles = st.one_of(
+    st.integers(1, 3).map(lambda k: Profile.from_scales(np.zeros(k))),
+    _clustered_profiles,
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8).map(
+        lambda e: Profile.from_scales(10.0 ** np.array(e))
+    ),
+)
+# (log10 c^2, log10 r^2) in units of the widest sigma squared: anywhere from
+# c = 0 to c^2 = 1e6 and r^2 = 1e-300 to 1e6; tiny x, where lam x < 4e-90;
+# and the deep lower tail, r below half of |c| with |c| from 18 to 56 sigma
+_interval_balls = st.one_of(
+    st.tuples(st.one_of(st.just(-np.inf), st.floats(-12.0, 6.0)), st.floats(-300.0, 6.0)),
+    st.tuples(st.floats(-12.0, 2.0), st.floats(-300.0, -100.0)),
+    st.tuples(st.floats(2.5, 3.5), st.floats(-12.0, -0.6)).map(lambda t: (t[0], t[0] + t[1])),
+)
+
+
+@given(_interval_profiles, st.lists(_interval_balls, min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_interval_bracket_stays_within_1e12_of_the_kernel(prof, balls):
+    # the closed form the pruned scoring rules d = 1 balls out with is the
+    # kernel's mass to far better than the 1e-9 slack it is given
+    model = MixtureModel(prof, 1)
+    top = float(prof.sigmas[-1]) or 1.0
+    log_c2, log_r2 = np.array(balls).T
+    c2, r2 = top**2 * 10.0**log_c2, top**2 * 10.0**log_r2
+    got = gaussmix.interval_masses(model, c2, r2)
+    assert np.all(np.abs(got - gaussmix.mixture_masses_sq(model, c2, r2)) <= 1e-12)
+
+
+def test_interval_bracket_routes_and_edge_balls():
+    # the property above reaches the kernel's tiny-x and deep-tail routes;
+    # balls the closed form cannot take (B(0, 0), r = inf, lam = inf) get the
+    # kernel's value or its refusal
+    model = _model([0.0, 1.0], [0.25, 0.75], 1)
+    c2 = np.array([4.0, 1e3, 0.0, 0.0, 9.0])
+    r2 = np.array([1e-300, 1.0, 0.0, np.inf, 4.0])
+    with mock.patch.object(special, "_lower_tail_sum", wraps=special._lower_tail_sum) as deep:
+        want = gaussmix.mixture_masses_sq(model, c2, r2)
+    assert deep.called
+    got = gaussmix.interval_masses(model, c2, r2)
+    assert np.all(np.abs(got - want) <= 1e-15)
+    assert got[2] == 0.25 and got[3] == 1.0
+    assert gaussmix.interval_masses(model, np.float64(9.0), 4.0).shape == ()
+    with pytest.raises(ValueError, match="noncentrality"):
+        gaussmix.interval_masses(model, [np.inf], [1.0])
+    with pytest.raises(ValueError, match="d = 1"):
+        gaussmix.interval_masses(_model([1.0], [1.0], 2), [1.0], [1.0])
