@@ -1,0 +1,93 @@
+"""Regenerate the frozen deep lower-tail rows of tests/test_special.py.
+
+Each row (d, lam, x, cdf) holds the noncentral chi-square CDF
+P(chi2_d(lam) <= x) = sum_j Poisson(j; lam/2) P(d/2 + j, x/2), summed in
+50-digit arithmetic with mpmath. mpmath is needed only here: the test suite
+reads the frozen values and never imports it.
+
+The sum runs over j in J +- K around the peak J of the terms. P(d/2 + j, x/2)
+comes from one mpmath ``gammainc`` at the top of the window and the exact
+recurrence P(a - 1, y) = P(a, y) + y^(a-1) e^-y / Gamma(a) below it. K doubles
+until both edge terms are below 1e-45 of the sum.
+
+Usage:
+  python scripts/tail_reference.py            # print every LOWER_TAIL row
+  python scripts/tail_reference.py --new-only # only the rows at the e^-31 cut
+"""
+
+import argparse
+import math
+
+import mpmath as mp
+
+mp.mp.dps = 50
+
+# (d, lam, x) of the rows frozen before the e^-31 cut rows were added
+EARLIER = [
+    (1, 216.0, 0.125),
+    (1, 208.0, 0.0625),
+    (5, 400.0, 1.0),
+    (12, 300.0, 50.0),
+    (2, 1500.0, 40.0),
+    (7, 900.0, 600.0),
+    (1, 6.0, 1e-100),
+    (4, 50.0, 1e-30),
+    (2, 40.0, 3.0),
+]
+CUT_LOG = -31.0
+CUT_LAMS = (1e4, 1e5, 1e6)
+CUT_DS = (1, 2, 5, 12)
+
+
+def log_chernoff(d, lam, x):
+    """Chernoff bound on log P(chi2_d(lam) <= x), for x below the mean."""
+    b, half, xh = mp.mpf(d) / 2, mp.mpf(lam) / 2, mp.mpf(x) / 2
+    y = (b + mp.sqrt(b * b + 4 * xh * half)) / (2 * xh)
+    return (y - 1) * xh - b * mp.log(y) - half * (y - 1) / y
+
+
+def cut_x(d, lam, level=CUT_LOG):
+    """The integer x nearest to where the Chernoff bound is e^level."""
+    lo, hi = mp.mpf(1e-300), mp.mpf(d + lam)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if log_chernoff(d, lam, mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return float(mp.nint(lo))
+
+
+def cdf(d, lam, x):
+    """The Poisson mixture at 50 digits, as described in the module notes."""
+    b, half, xh = mp.mpf(d) / 2, mp.mpf(lam) / 2, mp.mpf(x) / 2
+    peak = int(mp.floor((mp.sqrt(b * b + 4 * half * xh) - b) / 2))
+    k = 20 * math.isqrt(peak + 1) + 50
+    while True:
+        lo, hi = max(0, peak - k), peak + k
+        p = mp.gammainc(b + hi, 0, xh, regularized=True)
+        terms = []
+        for j in range(hi, lo - 1, -1):
+            w = mp.exp(j * mp.log(half) - half - mp.loggamma(j + 1)) if half else mp.mpf(j == 0)
+            terms.append(w * p)
+            # P(b + j - 1, y) = P(b + j, y) + y^(b+j-1) e^-y / Gamma(b + j)
+            p += mp.exp((b + j - 1) * mp.log(xh) - xh - mp.loggamma(b + j))
+        total = mp.fsum(terms)
+        edge = max(terms[0], terms[-1] if lo > 0 else 0)
+        if edge < mp.mpf("1e-45") * total:
+            return total
+        k *= 2
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--new-only", action="store_true", help="only the rows at the e^-31 cut")
+    args = ap.parse_args()
+    rows = [] if args.new_only else list(EARLIER)
+    rows += [(d, lam, cut_x(d, lam)) for lam in CUT_LAMS for d in CUT_DS]
+    for d, lam, x in rows:
+        print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+
+
+if __name__ == "__main__":
+    main()

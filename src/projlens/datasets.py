@@ -307,6 +307,19 @@ def center(cloud: PointCloud) -> PointCloud:
     )
 
 
+def _center_in_place(cloud: PointCloud) -> PointCloud:
+    """``center`` for a freshly generated cloud that nothing else holds: the
+    column means are subtracted from its own array (which the generators
+    allocate, so it may be made writeable again), and no second copy of it
+    is made. The values are the same bytes as ``center``'s."""
+    if cloud.centered:
+        return cloud
+    data = cloud.data
+    data.flags.writeable = True
+    data -= data.mean(axis=0)
+    return PointCloud(data, centered=True, labels=cloud.labels)
+
+
 def profile(cloud: PointCloud) -> Profile:
     """Profile of a cloud: atoms at ||x_i|| / sqrt(D) with equal weights.
 

@@ -26,6 +26,7 @@ from .bounds import eccentricity
 from .datasets import (
     PointCloud,
     Profile,
+    _center_in_place,
     _write_csv,
     center,
     gen_cross_polytope,
@@ -189,7 +190,7 @@ def run_figure4(
     """
     _check_threads(threads)
     seeds = _seed_list(seed, n_seeds)
-    source = center(gen_simplex(D))
+    source = _center_in_place(gen_simplex(D))
     n = source.n
     model = MixtureModel(Profile.from_scales([1.0]), d)
 
@@ -272,7 +273,7 @@ def run_decay(
 
     def cell(key):
         D, s = key
-        src = center(_decay_cloud(shape, D, n, s))
+        src = _center_in_place(_decay_cloud(shape, D, n, s))
         prof = profile(src)
         proj = apply(sample_projection(d, D, s), src)
         model = MixtureModel(prof, d)
@@ -334,7 +335,7 @@ def run_cube1d(
 
     def cell(key):
         D, s = key
-        src = center(gen_cube(D, n=n, seed=s))
+        src = _center_in_place(gen_cube(D, n=n, seed=s))
         proj = apply(sample_projection(1, D, s), src)
         return ks_statistic(proj.data[:, 0], norm_cdf)
 

@@ -253,11 +253,14 @@ def _tv_distance(d: int, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     the narrower one is larger, so the distance is its excess mass there:
     F(r*^2 / s1^2) - F(r*^2 / s2^2) with F the central chi-square CDF."""
     rho = (s2 / s1) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x2 = d * np.log(rho) / (rho - 1.0)
+    tv = np.zeros_like(rho)
+    # rho = 1 (an atom at its bin's centre) has no crossing and distance 0
+    wide = rho > 1.0
+    rho = rho[wide]
+    x2 = d * np.log(rho) / (rho - 1.0)
     zero = np.zeros_like(rho)
-    tv = chisq_cdf_pairs(d, zero, x2 * rho) - chisq_cdf_pairs(d, zero, x2)
-    return np.where(rho > 1.0, tv, 0.0)
+    tv[wide] = chisq_cdf_pairs(d, zero, x2 * rho) - chisq_cdf_pairs(d, zero, x2)
+    return tv
 
 
 def coarse_model(model: MixtureModel) -> tuple[MixtureModel, float]:

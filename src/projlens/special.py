@@ -25,10 +25,12 @@ evaluation, because ``chndtr`` loses them there:
 - Deep lower tail, where a Chernoff bound puts the CDF below e^-30. On 150
   random such points (d <= 12, CDF above 1e-290), against 40-digit mpmath
   sums, ``chndtr`` returns 0 on 39 and is off by up to 7e-9 relative on the
-  rest. ``_lower_tail_sum`` sums the mixture downward from above its peak on
-  rescaled values and stays within 2e-13 relative. Its Poisson weights take
-  Loader's saddle-point form (``_poisson_pmf``); a plain xlogy/gammaln
-  weight reaches 1.2e-12 on the same points.
+  rest. ``_lower_tail_sum`` sums the mixture in swapped order, outward from
+  its peak term, on rescaled values and in array blocks of terms (a few
+  numpy passes a call); on 150 random such points (lam from 3 to 3e3)
+  against 50-digit sums it stays within 2.1e-13 relative. Its Poisson
+  weights take Loader's saddle-point form (``_poisson_pmf``); a plain
+  xlogy/gammaln weight reaches 1.2e-12 on the first 150 points.
 - Tiny x, where (lam/2)(x/2) < 1e-90. Every term past j = 0 is then below
   1e-90 of the first, so the CDF is e^(-lam/2) P(d/2, x/2) (``chdtr`` at
   lam = 0). ``chndtr`` returns 0 on three such points in the tests (lam >= 208).
@@ -60,12 +62,17 @@ import math
 import numpy as np
 from scipy import special as sps
 
-GAMMA_TOL = 1e-16
-GAMMA_MAX_TERMS = 10 ** 6
 # relative size below which the lower-tail sum drops the terms it has not
-# visited; both are far under one unit in the last place (e^-42 ~ 6e-19)
-_LOWER_TAIL_LOG = 42.0
+# visited, far under one unit in the last place
 _TAIL_REL = 1e-17
+# the lower-tail sum's blocks of terms: the first spans _TAIL_REACH
+# sqrt(J + 1) terms (J the peak term; for large J a side stops near
+# 6 sqrt(J + 1)), none is shorter than _TAIL_MIN_WIDTH terms, and none
+# holds more than _TAIL_BLOCK_CELLS (term, pair) cells, some 128 kB for each
+# of its arrays
+_TAIL_REACH = 5.0
+_TAIL_MIN_WIDTH = 8
+_TAIL_BLOCK_CELLS = 2**14
 # the smallest positive double, and its log
 _SUBNORMAL = 5e-324
 _LOG_SUBNORMAL = math.log(_SUBNORMAL)
@@ -110,7 +117,14 @@ def _stirlerr(n) -> np.ndarray:
         ) / n
     small = n <= 15.0
     if np.any(small):
-        out[small] = [_stirlerr_scalar(float(v)) for v in n[small]]
+        # integers and half-integers (the deep-tail sum's peak and b + peak)
+        # in one gather from the table; the rest one at a time
+        twice = 2.0 * n[small]
+        halves = twice == np.floor(twice)
+        vals = np.empty_like(twice)
+        vals[halves] = _STIRLERR_HALVES[twice[halves].astype(np.intp)]
+        vals[~halves] = [_stirlerr_scalar(float(v)) for v in n[small][~halves]]
+        out[small] = vals
     return out
 
 
@@ -217,7 +231,7 @@ def chisq_cdf(d: int, lam: float, x):
     Args:
       d: degrees of freedom, positive integer.
       lam: noncentrality parameter (squared length of the mean), >= 0.
-      x: evaluation point(s); the CDF is 0 for x <= 0.
+      x: evaluation point(s), not nan; the CDF is 0 for x <= 0.
 
     Returns:
       P(chi2_d(lam) <= x), matching the shape of ``x``.
@@ -236,7 +250,8 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
     Same quantity as ``chisq_cdf`` with an array noncentrality, used by the
     mixture-mass kernel where every (atom, ball) pair has its own. At d = 1
     the closed form of ``_one_dof``; at d >= 2 ``chndtr`` except in the
-    tiny-x and deep lower-tail regions (see the module notes).
+    tiny-x and deep lower-tail regions (see the module notes). A nan x is
+    refused, as a nan lam is.
     """
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ValueError(f"degrees of freedom must be a positive integer, got {d}")
@@ -246,6 +261,8 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
         raise ValueError("lam and x must have matching shapes")
     if np.any(lam_arr < 0) or not np.all(np.isfinite(lam_arr)):
         raise ValueError("noncentrality must be finite and >= 0")
+    if np.isnan(x_arr).any():
+        raise ValueError("chi-square argument x must not be nan")
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     if not np.any(pos):
@@ -374,75 +391,149 @@ def _lower_tail_sum(b: float, half: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j w_j P(b + j, x) to full relative precision, for the deep lower tail.
 
     Needs x below the mean b + half and half x >= 1e-90. With Poisson weights
-    w_j = Poisson(j; half), t_j = Poisson(b + j; x) and u_j = w_j t_j, the
-    terms s_j = w_j P(b + j, x) obey
+    w_j = Poisson(j; half) and t_m = Poisson(b + m; x), P(b + j, x) is
+    sum_(m >= j) t_m, so the sum swaps into
 
-        s_(j-1) = (j / half) s_j + u_(j-1),
+        sum_j w_j P(b + j, x) = sum_m t_m W_m,  W_m = sum_(j <= m) w_j,
 
-    a recurrence of positive terms that is stable walking downward. The ratio
-    rho_j = u_(j+1) / u_j = half x / ((j+1)(b+j+1)) falls through 1 at the
-    peak J of u, which is at or above the peak of s. The walk starts at the
-    first index above J where the terms not visited above it are below e^-42
-    of u_J, seeds s there from the series of P(b + top, x), runs on
-    rescaled values (u_top = 1) and is renormalized by a direct u_J, so
-    nothing under- or overflows however small the CDF. Below the peak of s
-    the ratio s_(j-1) / s_j = q only shrinks, so the walk stops once the
-    geometric bound s_j q / (1 - q) on the unvisited terms is below 1e-17 of
-    the sum.
+    a sum of positive terms. The products u_m = w_m t_m peak at the J where
+    u_(m+1) / u_m = half x / ((m+1)(b+m+1)) falls through 1. On each side of
+    J the ratios t_m / t_J and w_m / w_J are running products of their
+    one-step ratios (one multiply a term, no log or exp), and the sum is u_J,
+    a direct Loader-form product, times a sum of these rescaled terms, so
+    nothing under- or overflows however small the CDF. With the terms from
+    J up (m >= J) and down (j < J) apart, the rescaled sum is
+    V + WA + T WS: V = sum_(m >= J) t_m sum_(J <= j <= m) w_j,
+    T = sum_(m >= J) t_m, WS = sum_(j < J) w_j and WA = sum_(j < J) w_j
+    sum_(j <= m < J) t_m, each a running sum walking out from J.
+
+    The window [lo, hi] drops the terms j < lo and m > hi. Both tails have
+    ratios that only shrink outward: s_(j-1) / s_j, with s_j = w_j P(b + j, x),
+    as j falls, and t_(m+1) W_(m+1) / (t_m W_m), with W_m summed from J or
+    from any other start, as m grows. So each tail is at most its edge term
+    times q / (1 - q), q the ratio at the edge (below J, P(b + J, x) is taken
+    as t_J, which only raises the bound), and a side stops at the first term
+    where that bound is below half of 1e-17 of the sum it has so far.
+
+    Cost: each side walks out from J in blocks of terms. The first block
+    spans _TAIL_REACH sqrt(J + 1) terms (for large J a side stops near
+    6 sqrt(J + 1)), the next a quarter of that, and each later one twice the
+    one before; no block holds more than _TAIL_BLOCK_CELLS (term, pair)
+    cells, and a pair leaves a side at its stop term. One pair thus takes
+    O(log window) array passes: 3 a side at lam = 1e6 at the e^-31 cut,
+    whose window spans some 9000 terms. Pairs are walked in order of their
+    first block's length, in chunks of pairs few enough for a block of
+    _TAIL_MIN_WIDTH terms, so chunks hold pairs of like windows and scratch
+    memory stays bounded for any batch. The running values are accumulated
+    in term order from the block before, so a pair's value has the same
+    bits in any batch.
     """
-    hx = half * x
-    peak = np.floor(0.5 * (np.sqrt(b * b + 4.0 * hx) - b))
-    # climb until the terms above top, at most u_top rho / (1 - rho) with
-    # rho = rho_top, are below e^-42 of u_J; log_u tracks log(u_top / u_J)
-    top = peak.copy()
-    log_u = np.zeros_like(x)
-    while True:
-        rho = hx / ((top + 1.0) * (b + top + 1.0))
-        climbing = log_u + np.log(rho / (1.0 - rho)) > -_LOWER_TAIL_LOG
-        if not np.any(climbing):
-            break
-        log_u = np.where(climbing, log_u + np.log(rho), log_u)
-        top = np.where(climbing, top + 1.0, top)
-    # P(a, x) / Poisson(a; x) = sum_n x^n / ((a+1)...(a+n)); x <= b + half
-    # puts x - b below the root m of m^2 + b m = half x, so x < b + peak + 1,
-    # at most a + 1, and every ratio x / (a + n) is below 1
-    a_top = b + top
-    term = np.ones_like(x)
-    s = np.ones_like(x)
-    for n in range(1, GAMMA_MAX_TERMS):
-        term = term * x / (a_top + n)
-        s += term
-        r = x / (a_top + n + 1.0)
-        if np.all(term * np.maximum(1.0, r / (1.0 - r)) <= GAMMA_TOL * s):
-            break
-    # walk down on the u_top = 1 scale, checking the stop rule every few
-    # steps; a walker that runs past j = 0 only adds zeros (u_(-1) = 0)
-    acc = s.copy()
-    u = np.ones_like(x)
-    # walkers that start at their peak (top == peak) keep u_peak = u_top = 1
-    u_peak = np.ones_like(x)
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    j, hx_l, half_l, peak_l = top, hx, half, peak
-    while live.size:
-        for _ in range(8):
-            u = u * (j * (b + j) / hx_l)
-            prev, s = s, (j / half_l) * s + u
-            acc = acc + s
-            j = j - 1.0
-            at_peak = j == peak_l
-            if np.any(at_peak):
-                u_peak[live[at_peak]] = u[at_peak]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = s / prev
-            done = (j <= 0.0) | (
-                (j < peak_l) & (s * q < _TAIL_REL * (1.0 - q) * acc)
-            )
-        if np.any(done):
-            out[live[done]] = acc[done]
-            keep = ~done
-            live, j, u, s, acc, hx_l, half_l, peak_l = (
-                v[keep] for v in (live, j, u, s, acc, hx_l, half_l, peak_l)
-            )
+    peak = np.floor(0.5 * (np.sqrt(b * b + 4.0 * half * x) - b))
+    reach = np.floor(_TAIL_REACH * np.sqrt(peak + 1.0))
+    order = np.argsort(reach, kind="stable")
+    sums = np.empty_like(x)
+    for start in range(0, x.size, _TAIL_BLOCK_CELLS // _TAIL_MIN_WIDTH):
+        part = order[start : start + _TAIL_BLOCK_CELLS // _TAIL_MIN_WIDTH]
+        sums[part] = _rescaled_tail(b, half[part], x[part], peak[part], reach[part])
     u_j = _poisson_pmf(peak, half) * _poisson_pmf(b + peak, x)
-    return np.clip(u_j * (out / u_peak), 0.0, 1.0)
+    return np.clip(u_j * sums, 0.0, 1.0)
+
+
+def _rescaled_tail(b, half, x, peak, reach) -> np.ndarray:
+    """V + WA + T WS of ``_lower_tail_sum``: its sum in units of u_J."""
+    eps = 0.5 * _TAIL_REL
+
+    def below(live, k, carry):
+        # m = J - k; running t_m / t_J, w_m / w_J, A_m = sum over [m, J) of
+        # t / t_J, and the sums over [m, J) of w A and of w. The step ratios
+        # t_m / t_(m+1) and w_m / w_(m+1) take one term more, whose shift is
+        # the next step's, which the bound on s_(m-1) / s_m uses
+        m1 = peak[live] + 1.0 - k[:, None]
+        f_w = m1 / half[live]
+        f_t = (m1 + b) / x[live]
+        tau0, om0, a0, wa0, ws0 = carry
+        tau = _running(np.multiply, tau0, f_t[:-1])
+        om = _running(np.multiply, om0, f_w[:-1])
+        a = _running(np.add, a0, tau)
+        wa = _running(np.add, wa0, om * a)
+        ws = _running(np.add, ws0, om)
+        # P(b + m, x) / t_J >= a + 1; q s / (1 - q) <= eps S, written so that
+        # it fails for q >= 1; the walk ends at m = 0 (m = -1 where J = 0)
+        p = a + 1.0
+        q = f_w[1:] * (1.0 + tau * f_t[1:] / p)
+        e_s = eps * (wa + ws + 1.0)
+        done = (m1[:-1] <= 1.0) | (q * (om * p + e_s) <= e_s)
+        return (tau, om, a, wa, ws), done
+
+    def above(live, k, carry):
+        # m = J + k; running t_m / t_J, w_m / w_J, T_m = sum over [J, m] of
+        # t / t_J, W''_m = sum over [J, m] of w / w_J, and the sum over
+        # [J, m] of t W''; the extra step term gives the bounds' ratios
+        m = peak[live] + k[:, None]
+        f_w = half[live] / m
+        f_t = x[live] / (m + b)
+        tau0, om0, t0, w0, v0 = carry
+        tau = _running(np.multiply, tau0, f_t[:-1])
+        om = _running(np.multiply, om0, f_w[:-1])
+        t = _running(np.add, t0, tau)
+        w = _running(np.add, w0, om)
+        tw = tau * w
+        v = _running(np.add, v0, tw)
+        # both bounds r e / (1 - r) <= eps S, written to fail for r >= 1
+        r_t = f_t[1:]
+        r = r_t * (1.0 + om * f_w[1:] / w)
+        e_t, e_v = eps * t, eps * v
+        done = (r_t * (tau + e_t) <= e_t) & (r * (tw + e_v) <= e_v)
+        return (tau, om, t, w, v), done
+
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the walk below J ends at m = 0 in any case
+        first = int(np.min(np.minimum(reach, peak + 1.0)))
+        _, _, _, wa, ws = _walk_out(below, (one, one, zero, zero, zero), first)
+        _, _, t, _, v = _walk_out(above, (one, one, one, one, one), int(np.min(reach)))
+    return v + wa + t * ws
+
+
+def _running(ufunc, carry: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate`` down each column of ``carry`` stacked on ``steps``,
+    without the carry row: one pass in term order, so a running value has
+    the same bits however the terms are cut into blocks."""
+    out = np.empty((steps.shape[0] + 1, steps.shape[1]))
+    out[0] = carry
+    out[1:] = steps
+    return ufunc.accumulate(out, axis=0, out=out)[1:]
+
+
+def _walk_out(block, carry: tuple, first: int) -> list:
+    """Run ``block`` over terms k = 1, 2, ... in blocks until every pair has
+    a done term; return each running quantity at its pair's first done term.
+
+    ``block(live, k, carry)`` gives the running quantities of the pairs
+    ``live`` at the terms ``k[:-1]`` (each a (terms, pairs) array, continued
+    from ``carry``, its values at the term before) and their done mask; the
+    last of ``k`` is the next block's first term, whose step ratio the stop
+    rule of the block's last term needs. The first
+    block is ``first`` terms long, the next a quarter of that, and each later
+    one twice the one before; none holds more than _TAIL_BLOCK_CELLS cells,
+    and pairs leave once done, so a cell past a pair's done term (which may
+    hold inf or nan) is never read.
+    """
+    n = carry[0].size
+    out = [np.empty(n) for _ in carry]
+    live = np.arange(n)
+    k0, width = 1, max(first, _TAIL_MIN_WIDTH)
+    while live.size:
+        w = max(_TAIL_MIN_WIDTH, min(width, _TAIL_BLOCK_CELLS // live.size))
+        cum, done = block(live, np.arange(k0, k0 + w + 1, dtype=float), carry)
+        stop = done.any(axis=0)
+        hit = np.flatnonzero(stop)
+        at = done[:, hit].argmax(axis=0)
+        for o, c in zip(out, cum):
+            o[live[hit]] = c[at, hit]
+        keep = ~stop
+        live = live[keep]
+        carry = tuple(c[-1, keep] for c in cum)
+        width = 2 * width if k0 > 1 else max(width // 4, _TAIL_MIN_WIDTH)
+        k0 += w
+    return out

@@ -35,6 +35,7 @@ from projlens import (
     two_sample_ks,
     write_report,
 )
+from projlens.datasets import _center_in_place
 
 from _oracles import power_exp_radius_cdf, two_cluster_lambda_max
 
@@ -151,6 +152,20 @@ def test_center_idempotent_and_flagged():
     assert once.centered and np.array_equal(once.data, twice.data)
     cp = gen_cross_polytope(5)
     assert np.allclose(center(cp).data, cp.data)
+
+
+def test_center_in_place_gives_the_bytes_of_center():
+    # the experiments centre the clouds they generate in place; the values
+    # are those of center, which copies
+    for make in (lambda: gen_simplex(40), lambda: gen_cube(30, n=50, seed=3)):
+        want = center(make())
+        cloud = make()
+        got = _center_in_place(cloud)
+        assert got.centered and np.shares_memory(got.data, cloud.data)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert not got.data.flags.writeable
+    marked = gen_cross_polytope(4)
+    assert _center_in_place(marked) is marked
 
 
 def test_center_two_row_example(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,19 @@ from projlens import (
 
 def small_figure4(threads=1):
     return run_figure4(D=50, d=2, n_balls=200, seed=0, n_seeds=2, threads=threads)
+
+
+def test_decay_cell_holds_one_source_cloud():
+    # the D = 3000 simplex (72 MB) is centred in place, so a run_decay cell
+    # holds one copy of it, not the generated cloud and a centred copy beside
+    tracemalloc.start()
+    try:
+        run_decay(shape="simplex", d=1, grid=(10, 3000), n_seeds=1, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cloud = 3001 * 3000 * 8
+    assert cloud < peak < 1.5 * cloud
 
 
 def test_experiment_names_registry():

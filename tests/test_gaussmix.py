@@ -289,6 +289,23 @@ def test_coarse_model_brackets_masses_on_the_convolution_route(d):
     assert np.all(np.abs(exact - gaussmix.mixture_masses_sq(coarse, c2, r2)) <= tau)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_coarse_model_hands_the_kernel_no_nan(d):
+    # an atom at its bin's centre (rho = 1) is at distance 0 without a kernel
+    # call: its crossing radius is 0/0, a nan x the kernel refuses
+    seen = []
+
+    def spy(dof, lam, x):
+        seen.append(np.array(x, dtype=float))
+        return special.chisq_cdf_pairs(dof, lam, x)
+
+    model = MixtureModel(Profile.from_scales([0.5, 1.0, 2.0, 4.0]), d)
+    with mock.patch.object(gaussmix, "chisq_cdf_pairs", spy):
+        coarse, tau = gaussmix.coarse_model(model)
+    assert seen and not any(np.isnan(x).any() for x in seen)
+    assert gaussmix._COARSE_SLACK <= tau < 1.0
+
+
 # profiles for the d = 1 bracket: point masses alone, clustered atoms (with
 # point masses now and then), and sigmas spread over six decades
 _interval_profiles = st.one_of(

@@ -2,11 +2,12 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projlens import (
@@ -21,9 +22,10 @@ from projlens import (
     nu_ball_mass,
     reg_lower_gamma,
 )
+from projlens import special
 from projlens.special import _convolved
 
-from _oracles import chisq1_central_cdf, chisq2_central_cdf, normal_cdf
+from _oracles import chisq1_central_cdf, chisq2_central_cdf, lower_tail_walk, normal_cdf
 
 # frozen from a 1e7-sample shifted-Gaussian count oracle (seed 20260814)
 MC_D2_L9_X1 = 0.0108592
@@ -82,7 +84,11 @@ def test_monotone_in_x_and_bounded(d, lam, x, dx):
 
 
 # the Poisson mixture summed in 40-digit arithmetic (mpmath); most sit far
-# below 1e-12, where any absolute tolerance would pass whatever comes back
+# below 1e-12, where any absolute tolerance would pass whatever comes back.
+# The last twelve lie at the integer x nearest to where the Chernoff bound is
+# e^-31, just inside the deep-tail route, at lam = 1e4, 1e5 and 1e6; the
+# deep-tail sum spans some 12 sqrt(lam / 2) terms there. All of them come
+# from scripts/tail_reference.py (50 digits), which reproduces the first nine
 LOWER_TAIL = [
     (1, 216.0, 0.125, 5.8596634810867307e-47),
     (1, 208.0, 0.0625, 6.8029911337044511e-46),
@@ -93,6 +99,18 @@ LOWER_TAIL = [
     (1, 6.0, 1e-100, 3.9724333178355353e-52),
     (4, 50.0, 1e-30, 1.7359929831205029e-72),
     (2, 40.0, 3.0, 1.089922701897293e-06),
+    (1, 10000.0, 8488.0, 1.7780665909952572e-15),
+    (2, 10000.0, 8489.0, 1.7811856249667105e-15),
+    (5, 10000.0, 8492.0, 1.7905734510033774e-15),
+    (12, 10000.0, 8499.0, 1.812658605447472e-15),
+    (1, 100000.0, 95083.0, 1.7387927300807331e-15),
+    (2, 100000.0, 95084.0, 1.7390756804949211e-15),
+    (5, 100000.0, 95087.0, 1.7399247904492942e-15),
+    (12, 100000.0, 95094.0, 1.7419075569459189e-15),
+    (1, 1000000.0, 984315.0, 1.724330993696053e-15),
+    (2, 1000000.0, 984316.0, 1.7243584220533698e-15),
+    (5, 1000000.0, 984319.0, 1.7244407095775998e-15),
+    (12, 1000000.0, 984326.0, 1.7246327281064945e-15),
 ]
 
 
@@ -112,6 +130,75 @@ def _through_both(rows):
 @pytest.mark.parametrize("cdf, d, lam, x, want", _through_both(LOWER_TAIL))
 def test_lower_tail_relative_accuracy(cdf, d, lam, x, want):
     assert cdf(d, lam, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _deep_tail_reference(b, half, x):
+    # the one-term-at-a-time walk, times the same Loader-form peak term
+    peak = np.floor(0.5 * (np.sqrt(b * b + 4.0 * half * x) - b))
+    u_j = special._poisson_pmf(peak, half) * special._poisson_pmf(b + peak, x)
+    return np.clip(u_j * lower_tail_walk(b, half, x), 0.0, 1.0)
+
+
+# (log10 lam, c): x = (sqrt(lam) - sqrt(2 c))^2 puts the Chernoff exponent
+# near -c, from just past the e^-30 cut to where the CDF nears underflow
+_deep_pairs = st.tuples(st.floats(math.log10(3.0), 6.0), st.floats(30.0, 720.0))
+
+
+@given(d=st.integers(1, 12), pairs=st.lists(_deep_pairs, min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_deep_tail_sum_matches_the_termwise_walk(d, pairs):
+    lam = np.array([10.0**e for e, _ in pairs])
+    x = np.array([(math.sqrt(10.0**e) - math.sqrt(2.0 * c)) ** 2 for e, c in pairs])
+    b, half, xh = d / 2.0, lam / 2.0, x / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = special._log_chernoff(b, half, xh)
+    deep = (xh < b + half) & (bound < special._DEEP_TAIL_LOG) & (bound > special._LOG_SUBNORMAL)
+    deep &= ~special._is_tiny(half, xh)
+    assume(deep.any())
+    b, half, xh = b, half[deep], xh[deep]
+    got = special._lower_tail_sum(b, half, xh)
+    want = _deep_tail_reference(b, half, xh)
+    # relative agreement wherever the value is a normal double
+    normal = want > 1e-300
+    assert np.allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
+    # a pair's value does not depend on the batch it is summed in
+    alone = np.array([special._lower_tail_sum(b, half[i : i + 1], xh[i : i + 1])[0]
+                      for i in range(half.size)])
+    assert np.array_equal(alone, got)
+
+
+def test_deep_tail_sum_takes_few_block_passes():
+    # at lam = 1e6 the sum spans some 9000 terms, which the walk covers in a
+    # few blocks a side (3 each here), not one Python step a term
+    passes = []
+    walk = special._walk_out
+
+    def counting(block, carry, first):
+        def counted(*args):
+            passes.append(1)
+            return block(*args)
+
+        return walk(counted, carry, first)
+
+    with mock.patch.object(special, "_walk_out", counting):
+        got = chisq_cdf(2, 1e6, 984316.0)
+    assert got == pytest.approx(1.7243584220533698e-15, rel=1e-12, abs=0.0)
+    assert 2 <= len(passes) <= 40
+
+
+def test_nan_argument_is_refused():
+    with pytest.raises(ValueError, match="x must not be nan"):
+        chisq_cdf(2, 1.0, math.nan)
+    with pytest.raises(ValueError, match="x must not be nan"):
+        chisq_cdf_pairs(1, np.array([1.0, 2.0]), np.array([0.5, math.nan]))
+    assert chisq_cdf_pairs(2, np.array([1.0]), np.array([math.inf]))[0] == 1.0
+
+
+def test_stirlerr_table_gather_matches_the_scalar_form():
+    n = np.concatenate([np.arange(1, 31) / 2.0, np.linspace(0.01, 15.0, 301), [15.5, 40.0, 1e6]])
+    want = np.array([special._stirlerr_scalar(float(v)) for v in n])
+    assert np.array_equal(special._stirlerr(n), want)
 
 
 # 40-digit mpmath values where earlier hand-built code branched: lam from
