@@ -1,4 +1,5 @@
-"""Regenerate the frozen deep lower-tail rows of tests/test_special.py.
+"""Regenerate the frozen deep lower-tail rows and Stirling remainders of
+tests/test_special.py.
 
 Each row (d, lam, x, cdf) holds the noncentral chi-square CDF
 P(chi2_d(lam) <= x) = sum_j Poisson(j; lam/2) P(d/2 + j, x/2), summed in
@@ -10,9 +11,13 @@ comes from one mpmath ``gammainc`` at the top of the window and the exact
 recurrence P(a - 1, y) = P(a, y) + y^(a-1) e^-y / Gamma(a) below it. K doubles
 until both edge terms are below 1e-45 of the sum.
 
+The Stirling remainder stirlerr(n) = lgamma(n + 1) - (n + 1/2) log n + n -
+log(2 pi) / 2 is printed to 30 digits at the n of the STIRLERR rows, the
+table's half-integers up to 15 and three points of the series past it.
+
 Usage:
-  python scripts/tail_reference.py            # print every LOWER_TAIL row
-  python scripts/tail_reference.py --new-only # only the rows at the e^-31 cut
+  python scripts/tail_reference.py            # every LOWER_TAIL row, then STIRLERR
+  python scripts/tail_reference.py --new-only # only the rows at the e^-31 cut, then STIRLERR
 """
 
 import argparse
@@ -37,6 +42,7 @@ EARLIER = [
 CUT_LOG = -31.0
 CUT_LAMS = (1e4, 1e5, 1e6)
 CUT_DS = (1, 2, 5, 12)
+STIRLERR_NS = [k / 2 for k in range(1, 31)] + [15.5, 40.0, 1e6]
 
 
 def log_chernoff(d, lam, x):
@@ -79,6 +85,13 @@ def cdf(d, lam, x):
         k *= 2
 
 
+def stirlerr(n):
+    """The Stirling-series remainder at 50 digits; at n = 1e6 its value, near
+    8e-8, is left with some 35 of them after the cancellation."""
+    n = mp.mpf(n)
+    return mp.loggamma(n + 1) - (n + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--new-only", action="store_true", help="only the rows at the e^-31 cut")
@@ -87,6 +100,9 @@ def main():
     rows += [(d, lam, cut_x(d, lam)) for lam in CUT_LAMS for d in CUT_DS]
     for d, lam, x in rows:
         print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+    print("# STIRLERR")
+    for n in STIRLERR_NS:
+        print(f"    ({n!r}, {mp.nstr(stirlerr(n), 30, min_fixed=-4)}),")
 
 
 if __name__ == "__main__":

@@ -320,7 +320,7 @@ def _experiment_cloud(args) -> PointCloud:
 # and --out-dir; a runner that takes a cloud also gets the cloud's flags:
 # --in, or gen's --shape, --dim, --n and --s
 _EXPERIMENTS = {
-    "figure4": (run_figure4, "--dim --d --n-balls --center-box --max-radius --n-seeds"),
+    "figure4": (run_figure4, "--dim --d --n-balls --n-seeds"),
     "decay": (run_decay, "--shape --d --grid --estimator --n --n-balls --n-seeds"),
     "cube1d": (run_cube1d, "--grid --n --n-seeds"),
     "twocluster": (run_twocluster, "--s --dim --d --n --n-balls --eps --n-seeds"),
@@ -337,8 +337,6 @@ _RUNNER_FLAGS = {
     "--grid": {"type": _parse_grid, "help": "comma-separated dimension grid"},
     "--estimator": {"choices": ("radial", "mc")},
     "--n-balls": {"type": int, "help": "mc ball count"},
-    "--center-box": {"type": float, "help": "mc center box half-width"},
-    "--max-radius": {"type": float, "help": "mc maximum ball radius"},
     "--eps": {"type": float, "help": "eccentricity tightness level"},
     "--n-seeds": {"type": int, "help": "seed count, from --seed up"},
     "--rule": {"choices": ("least", "most"), "help": "coordinate order"},

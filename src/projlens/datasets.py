@@ -195,10 +195,11 @@ def gen_cross_polytope(D: int) -> PointCloud:
     """Cross-polytope vertices +-sqrt(D) e_i; mean is exactly zero."""
     if D < 1:
         raise ValueError("dimension must be >= 1")
-    eye = np.sqrt(D) * np.eye(D)
-    data = np.empty((2 * D, D))
-    data[0::2] = eye
-    data[1::2] = -eye
+    # in place, as in gen_simplex; -0.0 off the diagonal, as -eye had
+    data = np.zeros((2 * D, D))
+    data[1::2] = -0.0
+    np.fill_diagonal(data[0::2], np.sqrt(D))
+    np.fill_diagonal(data[1::2], -np.sqrt(D))
     return PointCloud(data, centered=True)
 
 

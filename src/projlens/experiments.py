@@ -171,8 +171,6 @@ def run_figure4(
     D: int = 1000,
     d: int = 2,
     n_balls: int = 10_000,
-    center_box: float = 4.0,
-    max_radius: float = 6.0,
     seed: int = 0,
     n_seeds: int = 10,
     threads: int = 0,
@@ -193,6 +191,8 @@ def run_figure4(
     source = _center_in_place(gen_simplex(D))
     n = source.n
     model = MixtureModel(Profile.from_scales([1.0]), d)
+    # (4.0, 6.0) for N(0, I_d)
+    box, max_radius = mc_box(model)
 
     def cell(key):
         kind, s = key
@@ -200,9 +200,7 @@ def run_figure4(
             cloud = apply(sample_projection(d, D, s), source)
         else:
             cloud = center(gaussian_sample(d, n, 1.0, s))
-        rep = mc_ball_sup(
-            cloud, model, n_balls, seed=s, center_box=center_box, max_radius=max_radius
-        )
+        rep = mc_ball_sup(cloud, model, n_balls, seed=s, center_box=box, max_radius=max_radius)
         return cloud.data, rep.value
 
     keys = [(kind, s) for s in seeds for kind in ("proj", "gauss")]
@@ -231,7 +229,7 @@ def run_figure4(
         "d": d,
         "n": n,
         "n_balls": n_balls,
-        "center_box": center_box,
+        "center_box": box,
         "max_radius": max_radius,
     }
     return ExperimentResult("figure4", params, tables, summary, seeds)

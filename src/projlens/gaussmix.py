@@ -18,9 +18,11 @@ scores the rest (``discrepancy._best_score``); neither gives a reported mass:
 - ``coarse_model`` merges the atoms of a profile into few, one per narrow
   band of log sigma, and bounds the change of every ball mass by the total
   variation between each atom's Gaussian and its band's;
-- ``interval_masses`` is the d = 1 mass in closed form, two ``ndtr`` calls
-  per (atom, ball) pair on the kernel's own (lam, x), within some 1e-15 of
-  the kernel and so well inside _COARSE_SLACK.
+- ``interval_masses`` is the d = 1 mass in closed form: the kernel's own
+  normal-tail difference (``special.normal_tail_difference``), two ``ndtr``
+  calls per (atom, ball) pair on the kernel's own (lam, x), summed by the
+  kernel's own atom loop, within some 1e-15 of the kernel and so well inside
+  _COARSE_SLACK.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .datasets import Profile
 from .special import chisq_cdf, chisq_cdf_pairs  # noqa: F401  (re-exported)
+from .special import normal_tail_difference
 
-# (live atom, ball) pairs per CDF call of the kernel; with one atom the
-# scratch of some 100 B a pair stays near 13 MB a chunk
-_CHUNK_PAIRS = 2**17
+# (ball, live atom) pairs per CDF call of ``_atom_sum``; 2^20 one-atom pairs at
+# d = 1 took 0.154 s in chunks of 2^14, 0.179 s in chunks of 2^17 (2 cores)
+_CHUNK_PAIRS = 2**14
 # width of the log-sigma bins of ``coarse_model``, times sqrt(d); the
 # distance between a Gaussian and its bin's grows with sqrt(d) times the
 # log-scale gap, so every bin moves a mass by about the same amount (tau is
@@ -169,29 +171,12 @@ def mixture_masses_pairs(model: MixtureModel, centers: np.ndarray, radii) -> np.
 
 def mixture_masses_sq(model: MixtureModel, c2, r2) -> np.ndarray:
     """F-bar(B(c, r)) from ||c||^2 and r^2, broadcast against each other; the
-    one mixture-mass kernel.
+    one mixture-mass kernel (``_atom_sum`` of ``chisq_cdf_pairs``)."""
 
-    The (live atom, ball) pairs go through the CDF in chunks of about 2^17
-    pairs, one flattened call per chunk, so the scratch stays near 2^17
-    pairs however many balls there are.
-    """
-    c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
-    sigmas = model.profile.sigmas
-    weights = model.profile.weights
-    zero = sigmas == 0.0
-    # an array even for 0-d input, so the chunks can write through ``flat``
-    total = np.where(c2 <= r2, weights[zero].sum(), 0.0)
-    s2 = sigmas[~zero] ** 2
-    live_w = weights[~zero]
-    c2, r2, flat = c2.reshape(-1, 1), r2.reshape(-1, 1), total.reshape(-1)
-    step = max(1, _CHUNK_PAIRS // max(live_w.size, 1))
-    for start in range(0, flat.size, step):
-        # (ball, atom) rows, each summed on its own: a ball's mass then does
-        # not depend on how many balls share its chunk
-        lam = c2[start : start + step] / s2
-        vals = chisq_cdf_pairs(model.d, lam.ravel(), (r2[start : start + step] / s2).ravel())
-        flat[start : start + step] += (vals.reshape(lam.shape) * live_w).sum(axis=1)
-    return np.minimum(total, 1.0, out=total)
+    def cdf(lam, x):
+        return chisq_cdf_pairs(model.d, lam.ravel(), x.ravel()).reshape(lam.shape)
+
+    return _atom_sum(model, c2, r2, cdf)
 
 
 def interval_masses(model: MixtureModel, c2, r2) -> np.ndarray:
@@ -200,8 +185,9 @@ def interval_masses(model: MixtureModel, c2, r2) -> np.ndarray:
     balls out (``discrepancy._best_score``); no reported mass comes from it.
 
     A ball is the interval [|c| - r, |c| + r]. With lam = ||c||^2 / sigma^2
-    and x = r^2 / sigma^2, the bits the kernel forms, and s = sqrt(lam) +
-    sqrt(x), an atom's mass is ndtr((x - lam) / s) - ndtr(-s): two ndtr calls
+    and x = r^2 / sigma^2, the bits the kernel forms, an atom's mass is
+    ``special.normal_tail_difference(lam, x)``, the kernel's own route at
+    0 < x <= lam with sqrt(x lam) >= 1/2 (bit for bit there): two ndtr calls
     per (live atom, ball) pair, plus the point masses where c^2 <= r^2.
 
     Bound: both ndtr arguments carry a relative error of at most 4 units of
@@ -220,29 +206,33 @@ def interval_masses(model: MixtureModel, c2, r2) -> np.ndarray:
     if model.d != 1:
         raise ValueError(f"the interval closed form needs d = 1, got d = {model.d}")
     c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
-    sigmas = model.profile.sigmas
-    weights = model.profile.weights
-    zero = sigmas == 0.0
-    total = np.where(c2 <= r2, weights[zero].sum(), 0.0)
-    s2 = sigmas[~zero] ** 2
-    live_w = weights[~zero]
-    flat_c2, flat_r2, flat = c2.reshape(-1, 1), r2.reshape(-1, 1), total.reshape(-1)
-    # chunks of 2^14 pairs keep the five scratch arrays in cache
-    step = max(1, 2**14 // max(live_w.size, 1))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for start in range(0, flat.size, step):
-            lam = flat_c2[start : start + step] / s2
-            t = flat_r2[start : start + step] / s2
-            s = np.sqrt(lam)
-            s += np.sqrt(t)
-            t -= lam
-            t /= s
-            vals = ndtr(t, out=t)
-            vals -= ndtr(np.negative(s, out=s), out=s)
-            flat[start : start + step] += (vals * live_w).sum(axis=1)
+        total = _atom_sum(model, c2, r2, normal_tail_difference)
     bad = ~np.isfinite(total)
     if bad.any():
         total[bad] = mixture_masses_sq(model, c2[bad], r2[bad])
+    return total
+
+
+def _atom_sum(model: MixtureModel, c2, r2, cdf) -> np.ndarray:
+    """sum_i w_i cdf(||c||^2 / sigma_i^2, r^2 / sigma_i^2) over the live atoms,
+    plus the point masses where c^2 <= r^2, capped at 1. ``cdf`` gets (ball,
+    atom) arrays of about _CHUNK_PAIRS pairs, which it may overwrite; each
+    ball's row is summed on its own, so its mass has the same bits however
+    many balls share its chunk."""
+    c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
+    sigmas = model.profile.sigmas
+    weights = model.profile.weights
+    zero = sigmas == 0.0
+    # an array even for 0-d input, so the chunks can write through ``flat``
+    total = np.where(c2 <= r2, weights[zero].sum(), 0.0)
+    s2 = sigmas[~zero] ** 2
+    live_w = weights[~zero]
+    c2, r2, flat = c2.reshape(-1, 1), r2.reshape(-1, 1), total.reshape(-1)
+    step = max(1, _CHUNK_PAIRS // max(live_w.size, 1))
+    for start in range(0, flat.size, step):
+        vals = cdf(c2[start : start + step] / s2, r2[start : start + step] / s2)
+        flat[start : start + step] += (vals * live_w).sum(axis=1)
     return np.minimum(total, 1.0, out=total)
 
 

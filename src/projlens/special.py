@@ -40,11 +40,14 @@ Phi(s_x - s_l) - Phi(-s_x - s_l) with s_x = sqrt(x), s_l = sqrt(lam). Each
 pair takes a route on which nothing cancels (``_one_dof``):
 
 - tiny x: as above;
-- x > lam: (erf((s_x - s_l) / sqrt 2) + erf((s_x + s_l) / sqrt 2)) / 2, a sum
-  of two positive terms;
+- x > lam, F < 1/2: (erf((s_x - s_l) / sqrt 2) + erf((s_x + s_l) / sqrt 2)) / 2,
+  a sum of two positive terms;
+- x > lam, F >= 1/2: 1 - (erfc((s_x - s_l) / sqrt 2) + erfc((s_x + s_l) /
+  sqrt 2)) / 2; near F = 1 the erf sum could rise with lam by one ulp;
 - x <= lam, deep lower tail: ``_lower_tail_sum`` as above;
 - x <= lam, s_x s_l >= 1/2: ``ndtr(s_x - s_l) - ndtr(-s_x - s_l)``, two lower
-  tails in ratio about e^(-2 s_x s_l) <= e^-1, so under one bit is lost;
+  tails in ratio about e^(-2 s_x s_l) <= e^-1, so under one bit is lost
+  (``normal_tail_difference``, which ``gaussmix.interval_masses`` also uses);
 - x <= lam, s_x s_l < 1/2 (so x < 1/2): ``chndtr``.
 
 s_x - s_l is taken as (x - lam) / (s_x + s_l), which keeps its relative
@@ -88,8 +91,8 @@ _QUAD_ABS = 1e-11
 _DBL_MAX = np.finfo(float).max
 
 # stirlerr(n) = lgamma(n + 1) - (n + 1/2) log n + n - log(2 pi) / 2 at
-# n = 0, 1/2, ..., 15 (the n = 0 slot is never read); the difference form
-# loses digits there, so the values are tabulated to double precision
+# n = 0, 1/2, ..., 15 (the n = 0 slot's value is never used); the difference
+# form loses digits there, so the values are tabulated to double precision
 _STIRLERR_HALVES = np.array([
     0.0, 0.15342640972002736, 0.08106146679532726,
     0.05481412105191765, 0.0413406959554093, 0.03316287351993629,
@@ -105,38 +108,18 @@ _STIRLERR_HALVES = np.array([
 ])
 
 
-def _stirlerr(n) -> np.ndarray:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the Stirling-series remainder, n > 0."""
-    n = np.asarray(n, dtype=float)
-    if n.ndim == 0:
-        return np.asarray(_stirlerr_scalar(float(n)))
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the Stirling-series remainder, at
+    an array of integers and half-integers n >= 0 (the deep-tail sum's peak
+    and b + peak): read from the table up to 15, the series past it."""
     with np.errstate(divide="ignore", invalid="ignore"):
         nn = n * n
         out = (
             1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn
         ) / n
     small = n <= 15.0
-    if np.any(small):
-        # integers and half-integers (the deep-tail sum's peak and b + peak)
-        # in one gather from the table; the rest one at a time
-        twice = 2.0 * n[small]
-        halves = twice == np.floor(twice)
-        vals = np.empty_like(twice)
-        vals[halves] = _STIRLERR_HALVES[twice[halves].astype(np.intp)]
-        vals[~halves] = [_stirlerr_scalar(float(v)) for v in n[small][~halves]]
-        out[small] = vals
+    out[small] = _STIRLERR_HALVES[(2.0 * n[small]).astype(np.intp)]
     return out
-
-
-def _stirlerr_scalar(n: float) -> float:
-    if n > 15.0:
-        nn = n * n
-        return (
-            1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn
-        ) / n
-    if (2.0 * n).is_integer():
-        return float(_STIRLERR_HALVES[int(2.0 * n)])
-    return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
 
 
 def _bd0(k, mu) -> np.ndarray:
@@ -172,7 +155,8 @@ def _bd0(k, mu) -> np.ndarray:
 
 
 def _poisson_pmf(k, mu) -> np.ndarray:
-    """mu^k e^(-mu) / Gamma(k + 1) for real k >= 0 and mu >= 0.
+    """mu^k e^(-mu) / Gamma(k + 1) for an array of integers and half-integers
+    k >= 0 and mu >= 0.
 
     Loader's saddle-point form exp(-stirlerr(k) - bd0(k, mu)) / sqrt(2 pi k)
     keeps full relative precision where the naive exp(k log mu - mu -
@@ -182,7 +166,7 @@ def _poisson_pmf(k, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     shape = np.broadcast_shapes(k.shape, mu.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_front = -_stirlerr(k).reshape(k.shape) - 0.5 * np.log(2.0 * math.pi * k)
+        log_front = -_stirlerr(k) - 0.5 * np.log(2.0 * math.pi * k)
         out = np.exp(log_front - _bd0(k, mu).reshape(shape))
     zero = k == 0.0
     if np.any(zero):
@@ -317,21 +301,40 @@ def _one_dof(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
         # x = inf would give inf / inf; at the largest double the CDF is 1 already
         x_c, lam_e = np.minimum(x[erf], _DBL_MAX), lam[erf]
         s = np.sqrt(x_c) + np.sqrt(lam_e)
-        vals[erf] = 0.5 * (sps.erf((x_c - lam_e) / s * _SQRT_HALF) + sps.erf(s * _SQRT_HALF))
+        a, b = (x_c - lam_e) / s * _SQRT_HALF, s * _SQRT_HALF
+        # 1 - F: the upper tails are summed before the one subtraction
+        q = 0.5 * (sps.erfc(a) + sps.erfc(b))
+        out = 1.0 - q
+        low = q > 0.5
+        out[low] = 0.5 * (sps.erf(a[low]) + sps.erf(b[low]))
+        vals[erf] = out
     if rest.any():
         vals[rest] = _screened(1, lam[rest], x[rest], _one_dof_bulk)
     return vals
 
 
 def _one_dof_bulk(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The d = 1 CDF at 0 < x <= lam outside the tiny-x and deep-tail regions."""
-    s_x, s_l = np.sqrt(x), np.sqrt(lam)
-    s = s_x + s_l
-    out = sps.ndtr((x - lam) / s) - sps.ndtr(-s)
+    """The d = 1 CDF at 0 < x <= lam outside the tiny-x and deep-tail regions;
+    overwrites ``x``."""
     # where s_x s_l < 1/2 the two tails are too close to subtract
-    far = s_x * s_l < 0.5
+    far = np.sqrt(x) * np.sqrt(lam) < 0.5
+    x_far, lam_far = x[far], lam[far]
+    out = normal_tail_difference(lam, x)
     if far.any():
-        out[far] = sps.chndtr(x[far], 1, lam[far])
+        out[far] = sps.chndtr(x_far, 1, lam_far)
+    return out
+
+
+def normal_tail_difference(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ndtr((x - lam) / s) - ndtr(-s), s = sqrt(lam) + sqrt(x): the d = 1 CDF
+    as two lower normal tails, for ``_one_dof_bulk`` and
+    ``gaussmix.interval_masses``. In place: the result overwrites ``x``."""
+    s = np.sqrt(lam)
+    s += np.sqrt(x)
+    x -= lam
+    x /= s
+    out = sps.ndtr(x, out=x)
+    out -= sps.ndtr(np.negative(s, out=s), out=s)
     return out
 
 

@@ -61,7 +61,8 @@ def test_negative_threads_is_refused(tmp_path, command):
 
 @pytest.mark.parametrize(
     "name, flag",
-    [("figure4", "--n"), ("cube1d", "--d"), ("decay", "--eps"), ("profile_table", "--grid")],
+    [("figure4", "--n"), ("cube1d", "--d"), ("decay", "--eps"), ("profile_table", "--grid"),
+     ("figure4", "--center-box")],
 )
 def test_experiment_refuses_flags_it_does_not_take(tmp_path, name, flag):
     res = run_cli("experiment", name, flag, 5, "--out-dir", tmp_path)

@@ -67,6 +67,21 @@ def test_cross_polytope_small_case():
     assert got == sorted([(r2, 0.0), (-r2, 0.0), (0.0, -r2), (0.0, r2)])
 
 
+def test_cross_polytope_is_built_in_place():
+    # gen_cross_polytope(1000) holds the 16 MB cloud and nothing of its size
+    # beside it, as gen_simplex does; its rows are +-sqrt(D) e_i, in order
+    tracemalloc.start()
+    try:
+        cloud = gen_cross_polytope(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * cloud.data.nbytes
+    eye = math.sqrt(1000) * np.eye(1000)
+    assert np.array_equal(cloud.data[0::2], eye)
+    assert np.array_equal(cloud.data[1::2], -eye)
+
+
 @pytest.mark.parametrize("D", [2, 5, 40])
 def test_cross_polytope_identity_covariance(D):
     pts = gen_cross_polytope(D).data

@@ -175,8 +175,9 @@ def test_batched_masses_match_scalar():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_masses_independent_of_chunks(d):
-    # 600 atoms by 1500 balls is seven chunks of the kernel; a ball scored
-    # alone gets the same bits as inside that call
+    # 600 atoms by 1500 balls is 56 chunks of the atom sum; a ball scored
+    # alone gets the same bits as inside that call, from the kernel and, at
+    # d = 1, from the interval closed form
     gen = np.random.default_rng(d)
     model = MixtureModel(Profile.from_scales(gen.uniform(0.05, 2.0, 600)), d)
     centers = gen.normal(size=(1500, d)) * 2
@@ -184,6 +185,11 @@ def test_masses_independent_of_chunks(d):
     many = mixture_masses_pairs(model, centers, radii)
     alone = [mixture_ball_mass(model, Ball(c, r)) for c, r in zip(centers[::3], radii[::3])]
     assert np.array(alone).tobytes() == many[::3].tobytes()
+    if d == 1:
+        c2, r2 = centers[:, 0] ** 2, radii**2
+        many = gaussmix.interval_masses(model, c2, r2)
+        alone = [gaussmix.interval_masses(model, a, b) for a, b in zip(c2[::3], r2[::3])]
+        assert np.array(alone).tobytes() == many[::3].tobytes()
 
 
 def test_kernel_chunks_stay_within_scratch_bound(monkeypatch):
@@ -336,6 +342,25 @@ def test_interval_bracket_stays_within_1e12_of_the_kernel(prof, balls):
     c2, r2 = top**2 * 10.0**log_c2, top**2 * 10.0**log_r2
     got = gaussmix.interval_masses(model, c2, r2)
     assert np.all(np.abs(got - gaussmix.mixture_masses_sq(model, c2, r2)) <= 1e-12)
+
+
+def test_interval_bracket_is_the_kernel_bit_for_bit_on_its_closed_form_route():
+    # at 0 < x <= lam with sqrt(x lam) >= 1/2, neither tiny nor deep, the
+    # kernel's d = 1 route is the bracket's own closed form, so a one-atom
+    # model gets the same bits from both
+    gen = np.random.default_rng(7)
+    lam = 10.0 ** gen.uniform(-2.0, 4.0, 20_000)
+    x = lam * gen.uniform(0.0, 1.0, lam.size)
+    b, half, xh = 0.5, lam / 2.0, x / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deep = special._log_chernoff(b, half, xh) < special._DEEP_TAIL_LOG
+    route = (x > 0.0) & (np.sqrt(x) * np.sqrt(lam) >= 0.5) & ~deep
+    route &= ~special._is_tiny(half, xh)
+    lam, x = lam[route], x[route]
+    assert lam.size > 5000
+    model = _model([1.0], [1.0], 1)
+    got = gaussmix.interval_masses(model, lam, x)
+    assert got.tobytes() == gaussmix.mixture_masses_sq(model, lam, x).tobytes()
 
 
 def test_interval_bracket_routes_and_edge_balls():
