@@ -374,6 +374,10 @@ def _thread_count(text: str) -> int:
 
 def _add_common(sub: argparse.ArgumentParser, default=0) -> None:
     sub.add_argument("--seed", type=int, default=default, help="base seed (default 0)")
+    _add_threads(sub, default)
+
+
+def _add_threads(sub: argparse.ArgumentParser, default=0) -> None:
     sub.add_argument(
         "--threads",
         type=_thread_count,
@@ -437,7 +441,8 @@ def _build_parser() -> _Parser:
     bnd.add_argument("--delta", type=float, help="override the inflation margin")
     bnd.add_argument("--c-exp", type=float, default=1.0, help="surrogate tail constant")
     bnd.add_argument("--c-poly", type=float, default=1.0, help="surrogate net constant")
-    _add_common(bnd)
+    # nothing here is random, so bounds takes no --seed
+    _add_threads(bnd)
     bnd.set_defaults(func=_cmd_bounds)
 
     exp = subs.add_parser("experiment", help="run a named experiment suite")

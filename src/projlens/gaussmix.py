@@ -27,6 +27,7 @@ scores the rest (``discrepancy._best_score``); neither gives a reported mass:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +70,8 @@ class Ball:
         return self.radius == other.radius and np.array_equal(self.center, other.center)
 
     def __hash__(self):
-        return hash((self.center.tobytes(), self.radius))
+        # -0.0 == 0.0, so the bytes are hashed with signed zeros folded
+        return hash(((self.center + 0.0).tobytes(), self.radius))
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.center, dtype=float))
@@ -172,11 +174,7 @@ def mixture_masses_pairs(model: MixtureModel, centers: np.ndarray, radii) -> np.
 def mixture_masses_sq(model: MixtureModel, c2, r2) -> np.ndarray:
     """F-bar(B(c, r)) from ||c||^2 and r^2, broadcast against each other; the
     one mixture-mass kernel (``_atom_sum`` of ``chisq_cdf_pairs``)."""
-
-    def cdf(lam, x):
-        return chisq_cdf_pairs(model.d, lam.ravel(), x.ravel()).reshape(lam.shape)
-
-    return _atom_sum(model, c2, r2, cdf)
+    return _atom_sum(model, c2, r2, functools.partial(chisq_cdf_pairs, model.d))
 
 
 def interval_masses(model: MixtureModel, c2, r2) -> np.ndarray:

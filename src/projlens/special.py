@@ -5,9 +5,9 @@ Every routine is a validating wrapper around ``scipy.special``:
 - ``reg_lower_gamma`` is ``gammainc``, P(a, x) = gamma(a, x) / Gamma(a);
 - ``gamma_ppf`` is ``gammaincinv``, its inverse in x;
 - ``norm_cdf`` is ``ndtr``;
-- ``chisq_cdf_pairs`` is ``chndtr`` over elementwise (lam, x) pairs at
-  d >= 2 and a closed form at d = 1 (below), and ``chisq_cdf`` is the same
-  call with one lam broadcast over the points.
+- ``chisq_cdf_pairs`` is ``chndtr`` over elementwise (lam, x) pairs, but
+  on the routes listed below, and ``chisq_cdf`` is the same call with one
+  lam broadcast over the points.
 
 At d >= 2 ``chndtr`` returns nan from lam of about 1e11 up where x lies
 within some ten standard deviations of the mean (``chndtr(1e12, 2, 1e12)``).
@@ -36,19 +36,24 @@ evaluation, because ``chndtr`` loses them there:
   lam = 0). ``chndtr`` returns 0 on three such points in the tests (lam >= 208).
 
 At d = 1 a ball is an interval and the CDF is exactly
-Phi(s_x - s_l) - Phi(-s_x - s_l) with s_x = sqrt(x), s_l = sqrt(lam). Each
-pair takes a route on which nothing cancels (``_one_dof``):
+Phi(s_x - s_l) - Phi(-s_x - s_l) with s_x = sqrt(x), s_l = sqrt(lam).
+
+``chisq_cdf_pairs`` sends each pair at x > 0 to the first of these routes
+that holds for it, and nothing cancels on any of them:
 
 - tiny x: as above;
-- x > lam, F < 1/2: (erf((s_x - s_l) / sqrt 2) + erf((s_x + s_l) / sqrt 2)) / 2,
-  a sum of two positive terms;
-- x > lam, F >= 1/2: 1 - (erfc((s_x - s_l) / sqrt 2) + erfc((s_x + s_l) /
-  sqrt 2)) / 2; near F = 1 the erf sum could rise with lam by one ulp;
-- x <= lam, deep lower tail: ``_lower_tail_sum`` as above;
-- x <= lam, s_x s_l >= 1/2: ``ndtr(s_x - s_l) - ndtr(-s_x - s_l)``, two lower
-  tails in ratio about e^(-2 s_x s_l) <= e^-1, so under one bit is lost
-  (``normal_tail_difference``, which ``gaussmix.interval_masses`` also uses);
-- x <= lam, s_x s_l < 1/2 (so x < 1/2): ``chndtr``.
+- d = 1, x > lam, F < 1/2: (erf((s_x - s_l) / sqrt 2) + erf((s_x + s_l) /
+  sqrt 2)) / 2, a sum of two positive terms;
+- d = 1, x > lam, F >= 1/2: 1 - (erfc((s_x - s_l) / sqrt 2) + erfc((s_x +
+  s_l) / sqrt 2)) / 2; near F = 1 the erf sum could rise with lam by one ulp;
+- deep lower tail: ``_lower_tail_sum`` as above, and 0 where the Chernoff
+  bound is below the smallest subnormal;
+- d = 1, s_x s_l >= 1/2 (x <= lam): ``ndtr(s_x - s_l) - ndtr(-s_x - s_l)``,
+  two lower tails in ratio about e^(-2 s_x s_l) <= e^-1, so under one bit is
+  lost (``normal_tail_difference``, which ``gaussmix.interval_masses`` also
+  uses);
+- the rest: ``chndtr``, and at d >= 2 ``_convolved`` where it returns nan.
+  At d = 1 these pairs have x <= lam and s_x s_l < 1/2, so x < 1/2.
 
 s_x - s_l is taken as (x - lam) / (s_x + s_l), which keeps its relative
 precision where x is near lam. On 6000 log-uniform pairs (lam from 1e-12 to
@@ -202,19 +207,13 @@ def gamma_ppf(a: float, u):
     return float(out) if arr.ndim == 0 else out
 
 
-def _check_chisq_params(d: int, lam: float) -> None:
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"degrees of freedom must be a positive integer, got {d}")
-    if not (np.isscalar(lam) and np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"noncentrality must be finite and >= 0, got {lam}")
-
-
 def chisq_cdf(d: int, lam: float, x):
     """CDF of the (noncentral) chi-square distribution with d dof.
 
     Args:
       d: degrees of freedom, positive integer.
-      lam: noncentrality parameter (squared length of the mean), >= 0.
+      lam: noncentrality parameter (squared length of the mean), >= 0; a
+        scalar or a 0-d array.
       x: evaluation point(s), not nan; the CDF is 0 for x <= 0.
 
     Returns:
@@ -222,9 +221,11 @@ def chisq_cdf(d: int, lam: float, x):
 
     ``chisq_cdf_pairs`` with ``lam`` broadcast over the points.
     """
-    _check_chisq_params(d, lam)
+    lam_arr = np.asarray(lam, dtype=float)
+    if lam_arr.ndim != 0:
+        raise ValueError(f"noncentrality must be a scalar, got shape {lam_arr.shape}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = chisq_cdf_pairs(d, np.broadcast_to(float(lam), arr.shape), arr)
+    out = chisq_cdf_pairs(d, np.broadcast_to(lam_arr, arr.shape), arr)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -232,9 +233,9 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
     """Elementwise noncentral chi-square CDF over (lam_i, x_i) pairs.
 
     Same quantity as ``chisq_cdf`` with an array noncentrality, used by the
-    mixture-mass kernel where every (atom, ball) pair has its own. At d = 1
-    the closed form of ``_one_dof``; at d >= 2 ``chndtr`` except in the
-    tiny-x and deep lower-tail regions (see the module notes). A nan x is
+    mixture-mass kernel where every (atom, ball) pair has its own. lam and x
+    take one shape, any, which the result keeps. Each pair at x > 0 takes
+    the first route of the module notes that holds for it. A nan x is
     refused, as a nan lam is.
     """
     if not (isinstance(d, (int, np.integer)) and d >= 1):
@@ -251,33 +252,43 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
     pos = x_arr > 0
     if not np.any(pos):
         return out
-    lam_p, x_p = lam_arr[pos], x_arr[pos]
-    if d == 1:
-        vals = _one_dof(lam_p, x_p)
-    else:
-        vals = _screened(d, lam_p, x_p, lambda x_b, lam_b: _many_dof_bulk(d, x_b, lam_b))
-    out[pos] = np.clip(vals, 0.0, 1.0)
-    return out
-
-
-def _screened(d: int, lam: np.ndarray, x: np.ndarray, bulk) -> np.ndarray:
-    """The CDF at x > 0: tiny-x and deep lower-tail pairs by their own sums,
-    the rest by ``bulk(x, lam)``."""
+    lam, x = lam_arr[pos], x_arr[pos]
     b, half, xh = d / 2.0, lam / 2.0, x / 2.0
-    tiny = _is_tiny(half, xh)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_bound = np.where(xh < b + half, _log_chernoff(b, half, xh), 0.0)
-    deep = (log_bound < _DEEP_TAIL_LOG) & ~tiny
-    in_bulk = ~(tiny | deep)
     vals = np.zeros_like(x)
-    vals[in_bulk] = bulk(x[in_bulk], lam[in_bulk])
+    # each route takes its pairs from ``rest``, the pairs no route has taken
+    tiny = _is_tiny(half, xh)
     if tiny.any():
         vals[tiny] = np.exp(-half[tiny]) * sps.gammainc(b, xh[tiny])
-    # below the smallest subnormal the CDF rounds to 0 and needs no sum
-    deep &= log_bound > _LOG_SUBNORMAL
-    if deep.any():
-        vals[deep] = _lower_tail_sum(b, half[deep], xh[deep])
-    return vals
+    rest = ~tiny
+    if d == 1:
+        erf = rest & (x > lam)
+        if erf.any():
+            vals[erf] = _erf_sum(lam[erf], x[erf])
+        rest &= ~erf
+    if rest.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_bound = np.where(xh < b + half, _log_chernoff(b, half, xh), 0.0)
+        deep = rest & (log_bound < _DEEP_TAIL_LOG)
+        rest &= ~deep
+        # below the smallest subnormal the CDF rounds to 0 and needs no sum
+        deep &= log_bound > _LOG_SUBNORMAL
+        if deep.any():
+            vals[deep] = _lower_tail_sum(b, half[deep], xh[deep])
+    if d == 1 and rest.any():
+        # s_x s_l is nan at lam = 0, x = inf, an erf-sum pair
+        with np.errstate(invalid="ignore"):
+            tails = rest & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
+        if tails.any():
+            vals[tails] = normal_tail_difference(lam[tails], x[tails])
+        rest &= ~tails
+    if rest.any():
+        x_r, lam_r = x[rest], lam[rest]
+        cdf = sps.chndtr(x_r, d, lam_r)
+        for i in np.flatnonzero(np.isnan(cdf)):
+            cdf[i] = _convolved(d, float(lam_r[i]), float(x_r[i]))
+        vals[rest] = cdf
+    out[pos] = np.clip(vals, 0.0, 1.0)
+    return out
 
 
 def _is_tiny(half: np.ndarray, xh: np.ndarray) -> np.ndarray:
@@ -290,44 +301,23 @@ def _is_tiny(half: np.ndarray, xh: np.ndarray) -> np.ndarray:
     return xh <= _TINY_HX / np.maximum(half, _SUBNORMAL)
 
 
-def _one_dof(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The d = 1 CDF at x > 0 by its closed-form routes (see the module notes)."""
-    # the erf sum is the route for x > lam; at or below it cancels, and
-    # tiny-x pairs keep their own route
-    rest = (x <= lam) | _is_tiny(lam / 2.0, x / 2.0)
-    vals = np.empty_like(x)
-    erf = ~rest
-    if erf.any():
-        # x = inf would give inf / inf; at the largest double the CDF is 1 already
-        x_c, lam_e = np.minimum(x[erf], _DBL_MAX), lam[erf]
-        s = np.sqrt(x_c) + np.sqrt(lam_e)
-        a, b = (x_c - lam_e) / s * _SQRT_HALF, s * _SQRT_HALF
-        # 1 - F: the upper tails are summed before the one subtraction
-        q = 0.5 * (sps.erfc(a) + sps.erfc(b))
-        out = 1.0 - q
-        low = q > 0.5
-        out[low] = 0.5 * (sps.erf(a[low]) + sps.erf(b[low]))
-        vals[erf] = out
-    if rest.any():
-        vals[rest] = _screened(1, lam[rest], x[rest], _one_dof_bulk)
-    return vals
-
-
-def _one_dof_bulk(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The d = 1 CDF at 0 < x <= lam outside the tiny-x and deep-tail regions;
-    overwrites ``x``."""
-    # where s_x s_l < 1/2 the two tails are too close to subtract
-    far = np.sqrt(x) * np.sqrt(lam) < 0.5
-    x_far, lam_far = x[far], lam[far]
-    out = normal_tail_difference(lam, x)
-    if far.any():
-        out[far] = sps.chndtr(x_far, 1, lam_far)
+def _erf_sum(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The d = 1 CDF at x > lam by its erf or erfc sum (see the module notes)."""
+    # x = inf would give inf / inf; at the largest double the CDF is 1 already
+    x = np.minimum(x, _DBL_MAX)
+    s = np.sqrt(x) + np.sqrt(lam)
+    a, b = (x - lam) / s * _SQRT_HALF, s * _SQRT_HALF
+    # 1 - F: the upper tails are summed before the one subtraction
+    q = 0.5 * (sps.erfc(a) + sps.erfc(b))
+    out = 1.0 - q
+    low = q > 0.5
+    out[low] = 0.5 * (sps.erf(a[low]) + sps.erf(b[low]))
     return out
 
 
 def normal_tail_difference(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     """ndtr((x - lam) / s) - ndtr(-s), s = sqrt(lam) + sqrt(x): the d = 1 CDF
-    as two lower normal tails, for ``_one_dof_bulk`` and
+    as two lower normal tails, for ``chisq_cdf_pairs`` and
     ``gaussmix.interval_masses``. In place: the result overwrites ``x``."""
     s = np.sqrt(lam)
     s += np.sqrt(x)
@@ -335,15 +325,6 @@ def normal_tail_difference(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     x /= s
     out = sps.ndtr(x, out=x)
     out -= sps.ndtr(np.negative(s, out=s), out=s)
-    return out
-
-
-def _many_dof_bulk(d: int, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The CDF at d >= 2 outside the tiny-x and deep-tail regions: ``chndtr``,
-    and ``_convolved`` on the pairs where it returns nan."""
-    out = sps.chndtr(x, d, lam)
-    for i in np.flatnonzero(np.isnan(out)):
-        out[i] = _convolved(d, float(lam[i]), float(x[i]))
     return out
 
 
@@ -365,7 +346,7 @@ def _convolved(d: int, lam: float, x: float) -> float:
     lam_a = np.array([lam])
 
     def integrand(s: float) -> float:
-        cdf_1 = _one_dof(lam_a, np.array([max(x - s * s, 0.0)]))[0]
+        cdf_1 = chisq_cdf_pairs(1, lam_a, np.array([max(x - s * s, 0.0)]))[0]
         return math.exp(log_norm + sps.xlogy(k - 1, s) - s * s / 2.0) * cdf_1
 
     top = min(math.sqrt(x), math.sqrt(k) + _CHI_TAIL)

@@ -178,6 +178,13 @@ def test_bounds_cli_matches_library(tmp_path):
     )
 
 
+def test_bounds_takes_no_seed():
+    # nothing in bounds is random; --threads stays, accepted and ignored
+    res = run_cli("bounds", "--eps", 0.3, "--d", 2, "--dim", 500, "--seed", 3)
+    assert res.returncode == 1
+    assert "unrecognized arguments: --seed 3" in res.stderr
+
+
 def test_experiment_summary_echoes_command_without_threads(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     base = ("experiment", "profile_table", "--shape", "crosspolytope",

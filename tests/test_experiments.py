@@ -255,3 +255,22 @@ def test_pilot_rates_net_script():
         value = float(line.split("value=")[1].split()[0])
         ceiling = float(line.split("ceiling ")[1].split(",")[0])
         assert 0.0 <= value < ceiling
+
+
+def test_output_digest_script_is_stable(tmp_path):
+    # one line per benchmark output, the same bytes on every run
+    script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+    runs = [
+        subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                       cwd=tmp_path, timeout=600)
+        for _ in range(2)
+    ]
+    for res in runs:
+        assert res.returncode == 0, res.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["radial-manyatom", "radial"], ["decay-oneatom", "decay"], ["mc-scalemix", "mc"],
+        ["cli", "mc"], ["cli", "net"],
+    ]
+    assert all(len(line.split()[2]) == 64 for line in lines)
+    assert runs[1].stdout == runs[0].stdout

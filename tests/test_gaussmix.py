@@ -49,6 +49,15 @@ def test_empty_ball_from_the_constructor():
     assert shrunk.is_empty and np.array_equal(shrunk.center, [1.0, -1.0])
 
 
+def test_equal_balls_hash_alike_across_signed_zeros():
+    # gen_cross_polytope writes -0.0 entries, which compare equal to 0.0
+    a, b = Ball(np.array([0.0, 1.0]), 1.0), Ball(np.array([-0.0, 1.0]), 1.0)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the centre itself keeps its signed zero
+    assert math.copysign(1.0, b.center[0]) == -1.0
+
+
 def test_resize_examples():
     b = Ball(np.zeros(1), 1.0)
     assert resize_ball(b, 0.5).radius == 1.5

@@ -195,6 +195,14 @@ def test_nan_argument_is_refused():
     assert chisq_cdf_pairs(2, np.array([1.0]), np.array([math.inf]))[0] == 1.0
 
 
+def test_zero_dim_noncentrality_is_a_scalar():
+    assert chisq_cdf(2, np.array(1.0), 0.5) == chisq_cdf(2, 1.0, 0.5)
+    assert chisq_cdf(1, np.float32(4.0), [1.0, 9.0]).tolist() == chisq_cdf(1, 4.0, [1, 9]).tolist()
+    for lam in (np.array([1.0]), [1.0, 2.0], np.ones((2, 2))):
+        with pytest.raises(ValueError, match="noncentrality must be a scalar"):
+            chisq_cdf(2, lam, 0.5)
+
+
 # (n, stirlerr(n)) to 30 digits from mpmath (scripts/tail_reference.py): the
 # table's half-integers up to 15, then three points of the series past it
 STIRLERR = [
@@ -380,6 +388,51 @@ def test_pairs_path_agrees_with_scalar(d):
     got = chisq_cdf_pairs(d, lams, xs)
     want = np.array([chisq_cdf(d, l, x) for l, x in zip(lams, xs)])
     assert np.max(np.abs(got - want)) < 1e-11
+
+
+def _route_pairs(lam, x_of):
+    return st.tuples(lam, st.floats(0.0, 1.0)).map(lambda p: (p[0], x_of(*p)))
+
+
+# (lam, x) pairs aimed at each route of the kernel: tiny x, the d = 1 erf sum
+# (x > lam), the deep lower tail (Chernoff exponent from -31 to -400), the
+# d = 1 normal-tail difference (x just below lam), and chndtr at d >= 2 and
+# at d = 1 (x <= lam, x lam < 1/4)
+_ROUTE_PAIRS = [
+    _route_pairs(st.floats(1e-6, 1e6), lambda lam, u: (0.05 + 0.9 * u) * 4e-90 / lam),
+    _route_pairs(st.floats(1e-6, 1e4), lambda lam, u: lam * (1.0 + 10.0**(6.0 * u - 5.0))),
+    _route_pairs(st.floats(1e3, 1e5),
+                 lambda lam, u: (math.sqrt(lam) - math.sqrt(2.0 * (31.0 + 369.0 * u))) ** 2),
+    _route_pairs(st.floats(1.0, 1e6), lambda lam, u: (math.sqrt(lam) - 5.0 * u) ** 2),
+    _route_pairs(st.floats(0.0, 100.0), lambda lam, u: 0.01 + 200.0 * u),
+    _route_pairs(st.floats(1e-6, 10.0), lambda lam, u: (0.01 + 0.99 * u) * min(lam, 0.2 / lam)),
+]
+
+
+@st.composite
+def _route_batches(draw, d):
+    batch = [p for route in _ROUTE_PAIRS for p in draw(st.lists(route, min_size=1, max_size=3))]
+    if d >= 2 and draw(st.booleans()):
+        # chndtr's nan region, which takes the convolution: one pair at most,
+        # for the quadrature's time
+        lam = draw(st.floats(1e11, 1e13))
+        t = draw(st.floats(-3.0, 3.0))
+        batch.append((lam, lam + d + t * math.sqrt(2.0 * (d + 2.0 * lam))))
+    batch = draw(st.permutations(batch))
+    return np.array([p[0] for p in batch]), np.array([p[1] for p in batch])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_pair_value_does_not_depend_on_its_batch(d, data):
+    # a batch mixing every route gives each pair the bits it gets alone, in
+    # either order
+    lam, x = data.draw(_route_batches(d))
+    got = chisq_cdf_pairs(d, lam, x)
+    alone = np.array([chisq_cdf_pairs(d, lam[i : i + 1], x[i : i + 1])[0] for i in range(lam.size)])
+    assert got.tobytes() == alone.tobytes()
+    assert chisq_cdf_pairs(d, lam[::-1], x[::-1])[::-1].tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
