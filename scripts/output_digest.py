@@ -1,14 +1,20 @@
 """Print a sha256 digest of every output of the benchmark's workloads.
 
-    python scripts/output_digest.py
+    python scripts/output_digest.py [--against FILE]
 
 Runs each workload's operation of ``perfbench/worker.py`` once at seed 1, on
 the package in this checkout's ``src``, and prints one ``workload label
 sha256`` line per output. Two checkouts that print the same lines give the
 same bytes on every workload. The decay summary's ``git_describe_or_version``
 names the commit, so it is masked. Takes a few seconds.
+
+With ``--against FILE`` (lines this script printed, say in another
+checkout) it also compares: it names on stderr each output whose digest
+differs from the saved one, or that only one side has, and exits 1 if there
+is any.
 """
 
+import argparse
 import hashlib
 import os
 import sys
@@ -18,7 +24,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 
 
-def main() -> None:
+def _digests(lines) -> dict:
+    """{(workload, label): sha256} of digest lines."""
+    rows = (line.split() for line in lines if line.strip())
+    return {(name, label): digest for name, label, digest in rows}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Digest every benchmark workload output.")
+    parser.add_argument("--against", metavar="FILE", help="saved digest lines to compare with")
+    args = parser.parse_args()
+    saved = None
+    if args.against:
+        with open(args.against) as f:
+            saved = _digests(f)
     # worker.py puts the ./src of the working directory first on sys.path
     os.chdir(ROOT)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -29,13 +48,22 @@ def main() -> None:
     from projlens import experiments
 
     experiments._git_describe_or_version = lambda: "masked"
+    lines = []
     for name, (setup, op, _) in worker.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as work:
             outputs = op(setup(SEED, work), SEED, work)
             os.chdir(ROOT)
         for label, text in outputs:
-            print(name, label, hashlib.sha256(text.encode()).hexdigest())
+            lines.append(f"{name} {label} {hashlib.sha256(text.encode()).hexdigest()}")
+            print(lines[-1])
+    if saved is None:
+        return 0
+    got = _digests(lines)
+    differ = [key for key in {**saved, **got} if saved.get(key) != got.get(key)]
+    for workload, label in differ:
+        print(f"differs: {workload} {label}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

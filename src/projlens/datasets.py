@@ -20,6 +20,9 @@ from .special import gamma_ppf
 
 PROFILE_MERGE_TOL = 1e-12
 EXHAUSTIVE_CUBE_MAX_DIM = 20
+# most bytes a generator may ask for at once; a dense D x D cloud reaches it
+# near D = 11 600, where centring and profiling it take as much again
+MEMORY_LIMIT = 2**30
 # covariance eigenpairs come from a dense eigh up to this dimension and from
 # ARPACK past it, where the dense solver's cubic cost takes over
 _DENSE_EIGH_MAX_DIM = 512
@@ -39,6 +42,16 @@ class CsvFormatError(ValueError):
 
 class SizeLimitError(ValueError):
     """A requested object would exceed a hard size limit."""
+
+
+def _check_memory(rows: int, cols: int, what: str) -> None:
+    """Refuse, before allocating it, a float cloud over MEMORY_LIMIT bytes."""
+    nbytes = rows * cols * np.dtype(float).itemsize
+    if nbytes > MEMORY_LIMIT:
+        raise SizeLimitError(
+            f"{what} would take {nbytes} bytes ({rows} x {cols} doubles), over the "
+            f"{MEMORY_LIMIT}-byte limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -184,6 +197,7 @@ def gen_simplex(D: int) -> PointCloud:
     """
     if D < 1:
         raise ValueError("dimension must be >= 1")
+    _check_memory(D + 1, D, "the simplex")
     data = np.zeros((D + 1, D))
     data[0] = (1.0 - np.sqrt(D + 1.0)) / np.sqrt(D)
     # in place: sqrt(D) * eye(D) would hold two more D x D arrays
@@ -195,6 +209,7 @@ def gen_cross_polytope(D: int) -> PointCloud:
     """Cross-polytope vertices +-sqrt(D) e_i; mean is exactly zero."""
     if D < 1:
         raise ValueError("dimension must be >= 1")
+    _check_memory(2 * D, D, "the cross-polytope")
     # in place, as in gen_simplex; -0.0 off the diagonal, as -eye had
     data = np.zeros((2 * D, D))
     data[1::2] = -0.0

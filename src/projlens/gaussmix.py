@@ -13,7 +13,11 @@ in closed form on routes where nothing cancels. Each mass depends only on
 its own ||c||^2 and r^2, not on the other balls of its call.
 
 Two cheaper evaluators let the estimators rule balls out before the kernel
-scores the rest (``discrepancy._best_score``); neither gives a reported mass:
+scores the rest (``discrepancy._best_score``); neither gives a reported mass.
+The radial sweep calls them only at every few radii of a center and at its
+last, and brackets the balls between by those masses, since a ball's mass
+never falls as its radius grows; the balls left then take the cheaper
+evaluator, and those still left the kernel:
 
 - ``coarse_model`` merges the atoms of a profile into few, one per narrow
   band of log sigma, and bounds the change of every ball mass by the total
@@ -222,8 +226,11 @@ def _atom_sum(model: MixtureModel, c2, r2, cdf) -> np.ndarray:
     sigmas = model.profile.sigmas
     weights = model.profile.weights
     zero = sigmas == 0.0
-    # an array even for 0-d input, so the chunks can write through ``flat``
-    total = np.where(c2 <= r2, weights[zero].sum(), 0.0)
+    # an array even for 0-d input, and C-ordered whatever the order of c2
+    # and r2 (a column gather is F-ordered), so ``flat`` is a view that the
+    # chunks can write through
+    total = np.zeros(c2.shape)
+    total[c2 <= r2] = weights[zero].sum()
     s2 = sigmas[~zero] ** 2
     live_w = weights[~zero]
     c2, r2, flat = c2.reshape(-1, 1), r2.reshape(-1, 1), total.reshape(-1)

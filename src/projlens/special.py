@@ -248,6 +248,12 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
         raise ValueError("noncentrality must be finite and >= 0")
     if np.isnan(x_arr).any():
         raise ValueError("chi-square argument x must not be nan")
+    return _routed(d, lam_arr, x_arr)
+
+
+def _routed(d: int, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
+    """``chisq_cdf_pairs`` on inputs it has validated: 1-d or higher float
+    arrays of one shape, lam finite and >= 0, x not nan."""
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     if not np.any(pos):
@@ -336,7 +342,9 @@ def _convolved(d: int, lam: float, x: float) -> float:
     dof, which has no singularity at 0. It holds under e^-72 of its mass past
     sqrt(d - 1) + 12, where the integral stops. quad is asked for
     _QUAD_ABS absolute: x itself is known to half an ulp, which moves the CDF
-    by about that much at lam = 1e11 and by more above.
+    by about that much at lam = 1e11 and by more above. Its nodes take the
+    d = 1 routes through ``_routed``, without ``chisq_cdf_pairs``'s checks,
+    which the node's (lam, x) pass by construction.
     """
     # imported here: it would add about 0.2 s to every CLI command's start-up
     from scipy.integrate import quad
@@ -346,7 +354,7 @@ def _convolved(d: int, lam: float, x: float) -> float:
     lam_a = np.array([lam])
 
     def integrand(s: float) -> float:
-        cdf_1 = chisq_cdf_pairs(1, lam_a, np.array([max(x - s * s, 0.0)]))[0]
+        cdf_1 = _routed(1, lam_a, np.array([max(x - s * s, 0.0)]))[0]
         return math.exp(log_norm + sps.xlogy(k - 1, s) - s * s / 2.0) * cdf_1
 
     top = min(math.sqrt(x), math.sqrt(k) + _CHI_TAIL)

@@ -35,6 +35,7 @@ from projlens import (
     two_sample_ks,
     write_report,
 )
+from projlens import datasets
 from projlens.datasets import _center_in_place
 
 from _oracles import power_exp_radius_cdf, two_cluster_lambda_max
@@ -80,6 +81,26 @@ def test_cross_polytope_is_built_in_place():
     eye = math.sqrt(1000) * np.eye(1000)
     assert np.array_equal(cloud.data[0::2], eye)
     assert np.array_equal(cloud.data[1::2], -eye)
+
+
+@pytest.mark.parametrize(
+    "gen, rows", [(gen_simplex, lambda D: D + 1), (gen_cross_polytope, lambda D: 2 * D)]
+)
+def test_dense_generators_refuse_clouds_over_the_memory_limit(monkeypatch, gen, rows):
+    # with the limit patched down to 1 MiB, D = 1000 asks for some 8 or 16 MB
+    # and is refused before anything of that size is allocated; the message
+    # states the bytes. D = 100 still fits
+    monkeypatch.setattr(datasets, "MEMORY_LIMIT", 2**20)
+    nbytes = rows(1000) * 1000 * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"would take {nbytes} bytes"):
+            gen(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert gen(100).data.shape == (rows(100), 100)
 
 
 @pytest.mark.parametrize("D", [2, 5, 40])

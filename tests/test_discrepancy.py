@@ -707,6 +707,67 @@ def test_pruned_scoring_gives_the_unpruned_reports(pts, prof, seed, width, max_k
     assert got == want
 
 
+@given(
+    _grid_clouds_up_to(3),
+    st.one_of(_clustered_models, _small_models),
+    st.sampled_from([0.05, 0.5, 5.0, None]),
+)
+@settings(max_examples=80, deadline=None)
+def test_endpoint_brackets_hold_every_exact_mass(pts, prof, width):
+    # each center's balls at the sorted data distances, as the radial sweep
+    # forms them: every ball's exact mass lies in the bracket built from the
+    # first-pass masses at its row's endpoints, and the stage keeps every
+    # candidate whose exact score reaches the floor it returns. The first
+    # pass is the sweep's, on coarse models from close to the exact one to
+    # a single atom (width), or (None) one off by almost tau = 0.05 on
+    # purpose, up and down in turn; point masses and ties included. A
+    # profile of point masses alone has no first pass, and the exact kernel
+    # stands in for it with tau = 0
+    n, d = pts.shape
+    model = MixtureModel(prof, d)
+    with mock.patch.multiple(
+        discrepancy, _PRUNE_MIN_PAIRS=0, _PRUNE_ATOM_SHARE=1
+    ), mock.patch.object(gaussmix, "_COARSE_LOG_WIDTH", width or 0.05):
+        first, masses, tau = discrepancy._pruning(model, 1) or (
+            model, gaussmix.mixture_masses_sq, 0.0
+        )
+    if width is None:
+        first, tau = model, 0.05
+
+        def masses(m, c2, r2):
+            exact = gaussmix.mixture_masses_sq(m, c2, r2)
+            return exact + 0.999 * tau * (-1.0) ** np.arange(exact.size).reshape(exact.shape)
+    cens = np.vstack([pts, np.zeros((1, d))])
+    sq = _sq_dists(pts, cens)
+    sq.sort(axis=1)
+    c2 = np.einsum("ij,ij->i", cens, cens)[:, None]
+    r2 = np.sqrt(sq) ** 2
+    end_pred = masses(first, c2, r2[:, discrepancy._endpoints(n)])
+    point_mass = discrepancy._point_mass(model)
+    lo, hi = discrepancy._endpoint_bracket(
+        end_pred, c2, r2, tau + gaussmix._COARSE_SLACK, point_mass
+    )
+    exact = gaussmix.mixture_masses_sq(model, c2, r2)
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+
+    frac = np.arange(n + 1) / n
+    aux = (frac[None, 1:], frac[None, :-1])
+
+    def score(pred, above, below):
+        return np.stack([above - pred, pred - below], axis=1)
+
+    # from no floor, and from the exact maximum, as when an earlier block's
+    # rescoring found it: every candidate that ties it must stay
+    exact_s = score(exact, *aux)
+    for start in (-math.inf, float(exact_s.max())):
+        f, _, shape, floor = discrepancy._endpoint_candidates(
+            lambda c2, r2: masses(first, c2, r2), tau, point_mass, score, c2, r2, end_pred, aux,
+            start,
+        )
+        assert shape == exact_s.shape and floor <= exact_s.max()
+        assert set(np.flatnonzero(exact_s >= floor)) <= set(f.tolist())
+
+
 def _radial_manyatom_input(n=50, seed=1):
     # the radial-manyatom bench input: a centred two-cluster cloud in R^50,
     # one profile atom per point, projected to d = 2
@@ -745,6 +806,9 @@ def test_pruning_cuts_the_exact_work_of_a_many_atom_sweep(monkeypatch):
     exact = sum(p for p, is_exact, name in calls if is_exact and name == "mixture_masses_sq")
     # scoring every (center, radius) exactly takes (n + 1) n live pairs
     assert 0 < exact < (n + 1) * n * live / 4
+    # the endpoint brackets spare the first pass most balls: a first pass
+    # over every ball brought the total to 18 250 pairs, they to 5 860
+    assert sum(p for p, _, name in calls if name == "mixture_masses_sq") <= 9000
 
 
 def _one_atom_input():

@@ -258,19 +258,31 @@ def test_pilot_rates_net_script():
 
 
 def test_output_digest_script_is_stable(tmp_path):
-    # one line per benchmark output, the same bytes on every run
+    # one line per benchmark output, the same bytes on every run; --against
+    # passes on a run's own lines and names each output that differs from
+    # saved lines, or that only one side has
     script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
-    runs = [
-        subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                       cwd=tmp_path, timeout=600)
-        for _ in range(2)
-    ]
-    for res in runs:
-        assert res.returncode == 0, res.stderr
-    lines = runs[0].stdout.splitlines()
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(script), *args], capture_output=True,
+                              text=True, cwd=tmp_path, timeout=600)
+
+    first = run()
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
         ["radial-manyatom", "radial"], ["decay-oneatom", "decay"], ["mc-scalemix", "mc"],
         ["cli", "mc"], ["cli", "net"],
     ]
     assert all(len(line.split()[2]) == 64 for line in lines)
-    assert runs[1].stdout == runs[0].stdout
+    (tmp_path / "saved.txt").write_text(first.stdout)
+    again = run("--against", "saved.txt")
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == first.stdout
+    tampered = lines[:3] + [lines[3].replace(lines[3].split()[2], "0" * 64), "cli extra " + "0" * 64]
+    (tmp_path / "tampered.txt").write_text("\n".join(tampered) + "\n")
+    differs = run("--against", "tampered.txt")
+    assert differs.returncode == 1
+    assert differs.stderr.splitlines() == [
+        "differs: cli mc", "differs: cli extra", "differs: cli net"
+    ]

@@ -220,6 +220,32 @@ def test_kernel_chunks_stay_within_scratch_bound(monkeypatch):
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_masses_do_not_depend_on_the_memory_order_of_their_inputs(d):
+    # a column gather and an F-ordered copy are not C-ordered; the atom sum
+    # once added into a copy of its total for them and returned only the
+    # point-mass share (all zeros here)
+    model = MixtureModel(Profile.from_scales([1.0, 2.0]), d)
+    c2 = np.full((5, 1), 0.5)
+    table = np.arange(1.0, 31.0).reshape(5, 6)
+    gathered = table[:, [0, 2, 5]]
+    assert not gathered.flags.c_contiguous
+    r2 = np.ascontiguousarray(gathered)
+    centers = np.broadcast_to(np.sqrt(c2)[..., None] * np.eye(d)[0], (5, 3, d))
+    evaluators = [
+        (gaussmix.mixture_masses_sq, c2, lambda r2: r2),
+        (mixture_masses_pairs, np.ascontiguousarray(centers), np.sqrt),
+    ]
+    if d == 1:
+        evaluators.append((gaussmix.interval_masses, c2, lambda r2: r2))
+    for masses, c, of_r2 in evaluators:
+        want = masses(model, c, of_r2(r2))
+        assert np.all(want > 0.2)
+        for other in (gathered, np.asfortranarray(r2)):
+            assert masses(model, c, of_r2(other)).tobytes() == want.tobytes()
+        assert masses(model, np.asfortranarray(c), of_r2(r2)).tobytes() == want.tobytes()
+
+
 def test_masses_of_one_center_and_one_radius():
     # a (d,) center against a scalar radius is one ball, not its point mass
     model = _model([0.0, 1.0], [0.25, 0.75], 2)
