@@ -1,12 +1,13 @@
 """Print a sha256 digest of every output of the benchmark's workloads.
 
-    python scripts/output_digest.py [--against FILE]
+    python scripts/output_digest.py [--seed N] [--against FILE]
 
-Runs each workload's operation of ``perfbench/worker.py`` once at seed 1, on
-the package in this checkout's ``src``, and prints one ``workload label
-sha256`` line per output. Two checkouts that print the same lines give the
-same bytes on every workload. The decay summary's ``git_describe_or_version``
-names the commit, so it is masked. Takes a few seconds.
+Runs each workload's operation of ``perfbench/worker.py`` once at seed N
+(default 1), on the package in this checkout's ``src``, and prints one
+``workload label sha256`` line per output. Two checkouts that print the same
+lines give the same bytes on every workload at that seed. The decay
+summary's ``git_describe_or_version`` names the commit, so it is masked.
+Takes a few seconds.
 
 With ``--against FILE`` (lines this script printed, say in another
 checkout) it also compares: it names on stderr each output whose digest
@@ -21,7 +22,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEED = 1
 
 
 def _digests(lines) -> dict:
@@ -32,6 +32,7 @@ def _digests(lines) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Digest every benchmark workload output.")
+    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     parser.add_argument("--against", metavar="FILE", help="saved digest lines to compare with")
     args = parser.parse_args()
     saved = None
@@ -51,7 +52,7 @@ def main() -> int:
     lines = []
     for name, (setup, op, _) in worker.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as work:
-            outputs = op(setup(SEED, work), SEED, work)
+            outputs = op(setup(args.seed, work), args.seed, work)
             os.chdir(ROOT)
         for label, text in outputs:
             lines.append(f"{name} {label} {hashlib.sha256(text.encode()).hexdigest()}")

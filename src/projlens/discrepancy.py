@@ -15,27 +15,30 @@ data distances at each center. One scoring core serves all three. It counts
 points in balls from the squared distances to a block of centers, in the one
 form empirical_mass also uses, and keeps the first maximum in candidate order.
 
-Where the exact scoring would be large, the core first scores every ball by
-a cheaper pass whose masses are all within a proven tau of the exact ones:
-at d >= 2, on a many-atom profile, the kernel on a coarse model of few atoms
+Every ball takes one path through the core: a first pass scores it, the
+balls whose first-pass score is within 2 tau of the best are kept, and the
+kept ones are rescored. Where the exact scoring would be large, the first
+pass is cheaper, its masses all within a proven tau of the exact ones: at
+d >= 2, on a many-atom profile, the kernel on a coarse model of few atoms
 (``gaussmix.coarse_model``); at d = 1, one-atom profiles included, the
 closed-form interval mass (``gaussmix.interval_masses``) on the coarse model
-or the model itself, tau growing by 1e-9. Only the balls whose first-pass
-score is within 2 tau of the best go through the exact kernel, with the
-inputs the unpruned scoring would give it. Every ball that ties the exact
-maximum is among them, so the reports are the same, bit for bit, as when
+or the model itself, tau growing by 1e-9. The kept balls then go through
+the exact kernel, with the inputs scoring every ball exactly would give it.
+Elsewhere the first pass is the kernel itself, tau = 0, and the kept balls
+keep its masses, so each ball is scored once. Every ball that ties the
+exact maximum is kept, so the reports are the same, bit for bit, as when
 every ball is scored exactly.
 
-The radial sweep puts one more stage in front, which needs no table: an
-endpoint bracket. Each of its rows holds one center's balls in
-nondecreasing radius, and at a fixed center a ball's mass never falls as
-its radius grows. So the first pass scores only every _BRACKET_STRIDE-th
-ball of a row and its last, and every ball between two of these lies
-between their masses, less and plus tau and _COARSE_SLACK; the point
-masses are taken exactly. The chain is endpoint bracket, first pass on the
-balls the bracket cannot rule out, then the exact kernel on the balls the
-first pass cannot. The net keeps its table of distinct squared norms and mc
-its one radius per center, so both go straight to the first pass.
+In front of a cheaper first pass the radial sweep puts one more stage,
+which needs no table: an endpoint bracket. Each of its rows holds one
+center's balls in nondecreasing radius, and at a fixed center a ball's
+mass, its point masses' included, never falls as its radius grows. So the
+first pass scores only every _BRACKET_STRIDE-th ball of a row and its last,
+and every ball between two of these lies between their masses, less and
+plus tau and _COARSE_SLACK. The first pass also scores the balls this
+bracket cannot rule out; the others get a nan mass, which no candidate
+test passes. The net keeps its table of distinct squared norms and mc its
+one radius per center, so both go straight to the first pass.
 
 Closed balls throughout; boundary ties count as inside.
 """
@@ -86,11 +89,11 @@ _SWEEP_BLOCK_PAIRS = 2**14
 # against 0.61 ms at 4160, 0.97 against 1.57 ms at 10302 (radial sweeps)
 _PRUNE_MIN_PAIRS = 2**14
 _PRUNE_ATOM_SHARE = 4
-# candidates the pruned scoring holds before it rescores them exactly
+# candidates ``_best_score`` holds before it rescores them
 _PRUNE_MAX_KEPT = 2**16
-# in a block of sorted rows the first pass scores every _BRACKET_STRIDE-th
+# in a block of sorted rows a cheaper first pass scores every _BRACKET_STRIDE-th
 # ball of a row and its last, and brackets the balls between by those
-# (``_endpoint_candidates``). The bracket costs about as much a ball as the
+# (``_bracket_fill``). The bracket costs about as much a ball as the
 # d = 1 closed form on one atom, so at d = 1 it needs _BRACKET_MIN_ATOMS
 # live first-pass atoms. Radial sweeps against the plain first pass, median
 # of 40 to 60 interleaved runs, one core of a 2-core machine:
@@ -133,6 +136,22 @@ def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _count_within(pts: np.ndarray, centers: np.ndarray, sq_radii: np.ndarray) -> np.ndarray:
+    """Points in each closed ball B(centers[i], r), r*r in row i of sq_radii.
+    The distance rows of 64 centers at a time stay in cache. One radius per
+    center is a compare; more sort each row and search it."""
+    counts = np.empty(sq_radii.shape, dtype=np.intp)
+    for s in range(0, len(centers), 64):
+        sq = _sq_dists(pts, centers[s : s + 64])
+        if sq_radii.shape[1] == 1:
+            counts[s : s + 64, 0] = np.count_nonzero(sq <= sq_radii[s : s + 64], axis=1)
+            continue
+        sq.sort(axis=1)
+        for i, row in enumerate(sq, s):
+            counts[i] = np.searchsorted(row, sq_radii[i], side="right")
+    return counts
+
+
 def empirical_mass(cloud, ball: Ball) -> float:
     """Fraction of points inside the closed ball."""
     pts = _as_points(cloud, ball.d if not ball.is_all and not ball.is_empty else None)
@@ -140,8 +159,8 @@ def empirical_mass(cloud, ball: Ball) -> float:
         return 0.0
     if ball.is_all:
         return 1.0
-    sq = _sq_dists(pts, ball.center[None, :])
-    return float(np.count_nonzero(sq <= ball.radius * ball.radius)) / pts.shape[0]
+    count = _count_within(pts, ball.center[None, :], np.array([[ball.radius * ball.radius]]))
+    return float(count[0, 0]) / pts.shape[0]
 
 
 def smoothed_mass(cloud, ball: Ball, delta: float) -> float:
@@ -255,8 +274,11 @@ def build_ball_net(d: int, c: float, eps_o: float) -> BallNet:
     return BallNet(d=d, c=c, eps_o=eps_o, axis=axis, radii=radii)
 
 
-def _check_work(model: MixtureModel, n_balls: int, what: str, remedy: str) -> None:
-    """Refuse, before any kernel call, an estimate over WORK_LIMIT atom-ball pairs."""
+def _check_work(model: MixtureModel, d: int, n_balls: int, what: str, remedy: str) -> None:
+    """Refuse, before any kernel call, a model of another dimension than the
+    points (d) and an estimate over WORK_LIMIT atom-ball pairs."""
+    if model.d != d:
+        raise ValueError(f"points have dimension {d}, the model {model.d}")
     pairs = n_balls * int(np.count_nonzero(model.profile.sigmas))
     if pairs > WORK_LIMIT:
         raise SizeLimitError(
@@ -358,44 +380,27 @@ def _report(
     )
 
 
-def _count_within(pts: np.ndarray, centers: np.ndarray, sq_radii: np.ndarray) -> np.ndarray:
-    """Points in each closed ball B(centers[i], r), r*r in row i of sq_radii.
-    The distance rows of 64 centers at a time stay in cache. One radius per
-    center is a compare; more sort each row and search it."""
-    counts = np.empty(sq_radii.shape, dtype=np.intp)
-    for s in range(0, len(centers), 64):
-        sq = _sq_dists(pts, centers[s : s + 64])
-        if sq_radii.shape[1] == 1:
-            counts[s : s + 64, 0] = np.count_nonzero(sq <= sq_radii[s : s + 64], axis=1)
-            continue
-        sq.sort(axis=1)
-        for i, row in enumerate(sq, s):
-            counts[i] = np.searchsorted(row, sq_radii[i], side="right")
-    return counts
-
-
 def _pruning(model: MixtureModel, n_balls: int):
-    """(m, masses, tau) of a first pass that saves work, else None: every
-    mass ``masses(m, c2, r2)`` is within tau of the kernel's under the model.
-    Scoring n_balls exactly must send at least _PRUNE_MIN_PAIRS (live atom,
-    ball) pairs through the kernel, a quarter of that at d = 1, where the
-    first pass is cheaper. m is the coarse model where it holds at most
+    """(m, masses, tau) of the first pass: every mass ``masses(m, c2, r2)`` is
+    within tau of the kernel's under the model. A cheaper pass needs the
+    exact scoring of n_balls to send at least _PRUNE_MIN_PAIRS (live atom,
+    ball) pairs through the kernel, a quarter of that at d = 1, where it is
+    cheaper still. m is the coarse model where it holds at most
     1 / _PRUNE_ATOM_SHARE of the live atoms, else the model itself. At d = 1
     the masses are the closed form ``interval_masses``, which adds
-    _COARSE_SLACK to tau; at d >= 2 they are the kernel's on the coarse
-    model, and without one there is no first pass."""
+    _COARSE_SLACK to tau; at d >= 2 they are the kernel's on m. Where
+    nothing cheaper pays, the pass is the kernel itself,
+    (model, mixture_masses_sq, 0.0)."""
     live = int(np.count_nonzero(model.profile.sigmas))
-    if n_balls * live < (_PRUNE_MIN_PAIRS // 4 if model.d == 1 else _PRUNE_MIN_PAIRS):
-        return None
     m, tau = model, 0.0
+    if n_balls * live < (_PRUNE_MIN_PAIRS // 4 if model.d == 1 else _PRUNE_MIN_PAIRS):
+        return m, mixture_masses_sq, tau
     if live >= _PRUNE_ATOM_SHARE:
         coarse, coarse_tau = coarse_model(model)
         if np.count_nonzero(coarse.profile.sigmas) * _PRUNE_ATOM_SHARE <= live:
             m, tau = coarse, coarse_tau
     if model.d == 1:
         return m, interval_masses, tau + _COARSE_SLACK
-    if m is model:
-        return None
     return m, mixture_masses_sq, tau
 
 
@@ -413,82 +418,71 @@ def _best_score(
     score is monotone or convex in pred, and moves by at most as much. The
     winner's center row, its s, and its pred and aux values come back.
 
-    Where ``_pruning`` finds it pays, the blocks are scored by a first pass
-    whose every mass is within tau of the kernel's, and so is every score.
-    The exact maximum is at least the running floor: the best first-pass
-    score less tau, or the best exact score found so far. So a candidate
-    whose first-pass score plus tau is below the floor cannot reach it, and
-    only the others are kept. With ``sorted_rows`` (each row of a block one
-    center's balls in nondecreasing r^2) the first pass scores only the
-    endpoint balls of each row, and the others only where their endpoint
-    bracket does not rule them out (``_endpoint_candidates``). The kept
-    candidates are rescored with the exact kernel, on the same c2, r2 bits,
-    in candidate order, whenever more than _PRUNE_MAX_KEPT are held and at
-    the end. Every candidate that ties the exact maximum is kept, so the
-    winner is the one the unpruned scoring finds.
+    Every block is scored by the first pass of ``_pruning``, whose every
+    mass is within tau of the kernel's, and so is every score. The exact
+    maximum is at least the running floor: the best first-pass score less
+    tau, or the best exact score found so far. So a candidate whose
+    first-pass score plus tau is below the floor cannot reach it, and only
+    the others are kept. With ``sorted_rows`` (each row of a block one
+    center's balls in nondecreasing r^2) a cheaper first pass scores only
+    the endpoint balls of each row, and the others only where their bracket
+    does not rule them out (``_bracket_fill``). The kept candidates are
+    rescored in candidate order, whenever more than _PRUNE_MAX_KEPT are held
+    and at the end: by the exact kernel on the same c2, r2 bits, or, where
+    the first pass is the kernel itself, from its masses, so that every ball
+    is scored once. Every candidate that ties the exact maximum is kept, so
+    the winner is the one that scoring every ball exactly finds.
     """
-    pruning = _pruning(model, n_balls)
-    best = None
-    if pruning is None:
-        for centers, _, _, pred, aux in blocks(model, mixture_masses_sq):
-            scores = score(pred, *aux)
-            i = int(np.argmax(scores))
-            if best is None or scores.flat[i] > best[0]:
-                best = _candidate(scores, i, centers, pred, aux)
-        return best
-
-    first, masses, tau = pruning
-    floor, kept = -math.inf, []
+    first, masses, tau = _pruning(model, n_balls)
+    exact = first is model and masses is mixture_masses_sq
     # the endpoint bracket costs about what the d = 1 closed form costs on one atom
-    bracket = sorted_rows and (
+    bracket = sorted_rows and not exact and (
         model.d > 1 or np.count_nonzero(first.profile.sigmas) >= _BRACKET_MIN_ATOMS
     )
-    point_mass = _point_mass(model)
+    best, floor, kept, n_kept = None, -math.inf, [], 0
 
     def rescore():
         nonlocal best, floor
         if not kept:
             return
-        first_s, cens, side, c2, r2, *aux = (np.concatenate(parts) for parts in zip(*kept))
+        first_s, cens, side, c2, r2, pred, *aux = (np.concatenate(parts) for parts in zip(*kept))
         kept.clear()
         keep = np.flatnonzero(first_s + tau >= floor)
         if keep.size == 0:
             return
-        cens, side, c2, r2 = cens[keep], side[keep], c2[keep], r2[keep]
+        cens, side, c2, r2, pred = cens[keep], side[keep], c2[keep], r2[keep], pred[keep]
         aux = [a[keep, None] for a in aux]
-        # balls of equal (c2, r2) share one kernel evaluation
-        pairs, inv = np.unique(np.stack([c2, r2], axis=1), axis=0, return_inverse=True)
-        pred = mixture_masses_sq(model, pairs[:, 0], pairs[:, 1])[inv.ravel(), None]
-        scores = score(pred, *aux)
-        j = int(np.argmax(scores[np.arange(keep.size), side, 0]))
-        i = np.ravel_multi_index((j, side[j], 0), scores.shape)
-        if best is None or scores.flat[i] > best[0]:
-            best = _candidate(scores, i, cens, pred, aux)
+        if not exact:
+            # balls of equal (c2, r2) share one kernel evaluation
+            pairs, inv = np.unique(np.stack([c2, r2], axis=1), axis=0, return_inverse=True)
+            pred = mixture_masses_sq(model, pairs[:, 0], pairs[:, 1])[inv.ravel()]
+        scores = score(pred[:, None], *aux)[np.arange(keep.size), side, 0]
+        j = int(np.argmax(scores))
+        if best is None or scores[j] > best[0]:
+            aux_j = tuple(float(a[j, 0]) for a in aux)
+            best = (float(scores[j]), cens[j], int(side[j]), float(pred[j]), aux_j)
             floor = max(floor, best[0])
 
     def at_endpoints(m, c2, r2):
         return masses(m, c2, r2[:, _endpoints(r2.shape[1])])
 
-    n_kept = 0
     for centers, c2, r2, pred, aux in blocks(first, at_endpoints if bracket else masses):
         if bracket:
-            f, first_s, shape, floor = _endpoint_candidates(
-                functools.partial(masses, first), tau, point_mass, score, c2, r2, pred, aux, floor
+            pred, floor = _bracket_fill(
+                functools.partial(masses, first), tau, score, c2, r2, pred, aux, floor
             )
-        else:
-            scores = score(pred, *aux)
-            floor = max(floor, float(scores.max()) - tau)
-            f = np.flatnonzero(scores + tau >= floor)
-            first_s, shape = scores.flat[f], scores.shape
-        if f.size == 0:
-            continue
-        row, side, col = np.unravel_index(f, shape)
+        scores = score(pred, *aux)
+        # the balls a bracket rules out have nan masses, and their scores fail every test
+        floor = max(floor, float(np.nanmax(scores)) - tau)
+        row, side, col = np.unravel_index(np.flatnonzero(scores + tau >= floor), scores.shape)
+        shape = (len(scores), scores.shape[2])
 
         def at(a):
-            return np.broadcast_to(a, (shape[0], shape[2]))[row, col]
+            # broadcast_to costs some 5 us a call, a fifth of an exact mc estimate's core
+            return (a if a.shape == shape else np.broadcast_to(a, shape))[row, col]
 
-        kept.append((first_s, centers[row], side, at(c2), at(r2), *(at(a) for a in aux)))
-        n_kept += f.size
+        kept.append((scores[row, side, col], centers[row], side, *map(at, (c2, r2, pred, *aux))))
+        n_kept += row.size
         if n_kept > _PRUNE_MAX_KEPT:
             rescore()
             n_kept = 0
@@ -496,104 +490,46 @@ def _best_score(
     return best
 
 
-def _point_mass(model: MixtureModel) -> float:
-    """The weight of the model's sigma = 0 atoms, all at the origin."""
-    return float(model.profile.weights[model.profile.sigmas == 0.0].sum())
-
-
 def _endpoints(cols: int) -> np.ndarray:
-    """The columns of a sorted-rows block that the first pass scores: every
-    _BRACKET_STRIDE-th and the last."""
+    """The columns of a sorted-rows block that a bracketing first pass
+    scores: every _BRACKET_STRIDE-th and the last."""
     ends = np.arange(0, cols, _BRACKET_STRIDE)
     return ends if ends[-1] == cols - 1 else np.append(ends, cols - 1)
 
 
-def _endpoint_bracket(end_pred, c2, r2, width, point_mass):
-    """(lo, hi), each (rows, cols), with every ball's mass in [lo, hi], for a
-    block whose rows each hold one center's balls in nondecreasing r^2:
-    r2 is (rows, cols), c2 broadcasts to (rows, 1), and ``end_pred`` holds
-    masses at the ``_endpoints`` columns within ``width`` of the balls'.
+def _bracket_fill(first_pass, tau, score, c2, r2, end_pred, aux, floor):
+    """(pred, floor) for a block whose rows each hold one center's balls in
+    nondecreasing r^2: r2 is (rows, cols), c2 broadcasts to (rows, 1), each
+    aux array is 2-d, and ``end_pred`` holds the first-pass masses at the
+    ``_endpoints`` columns.
 
-    At a fixed center the mass of the continuous atoms never decreases with
-    r, so a ball's lies between the continuous masses of its two nearest
-    endpoints, less and plus width. The point masses (``point_mass``, at the
-    origin) are taken out at the endpoints and added back exactly for each
-    ball, where c2 <= r2.
-    """
-    ends = _endpoints(r2.shape[1])
-    cont = end_pred
-    if point_mass:
-        cont = end_pred - point_mass * (c2 <= r2[:, ends])
-    left = np.arange(r2.shape[1]) // _BRACKET_STRIDE
-    lo = cont[:, left] - width
-    hi = cont[:, np.minimum(left + 1, ends.size - 1)] + width
-    if point_mass:
-        at_ball = point_mass * (c2 <= r2)
-        lo += at_ball
-        hi += at_ball
-    return lo, hi
-
-
-def _endpoint_candidates(first_pass, tau, point_mass, score, c2, r2, end_pred, aux, floor):
-    """(f, first_s, shape, floor) for a block whose rows each hold one
-    center's balls in nondecreasing r^2: the flat indices f, in candidate
-    order, into its (rows, S, cols) scores of the candidates whose
-    first-pass score plus tau reaches the raised floor, and those scores.
-    r2 is (rows, cols), c2 broadcasts to (rows, 1), each aux array is 2-d,
-    and ``end_pred`` holds the first-pass masses at the ``_endpoints``
-    columns.
-
-    The floor first rises to the endpoints' first-pass scores less tau.
-    Every other ball's exact mass lies in its ``_endpoint_bracket``,
-    widened by _COARSE_SLACK beyond tau for the kernel's rounding on the
-    ball and its two endpoints. A candidate whose larger score over the
-    bracket, at one of its ends, is below the floor is dropped. The balls
-    with a candidate left get their masses ``first_pass(c2, r2)`` in one
-    call, and the floor rises to their scores less tau.
+    The floor rises to the endpoints' first-pass scores less tau. At a fixed
+    center a ball's mass never falls as r grows, the point masses' included,
+    so every other ball's exact mass lies between the first-pass masses of
+    its two nearest endpoints, less and plus tau and _COARSE_SLACK (the
+    kernel's rounding on the ball and its two endpoints). Where the larger
+    score over that bracket, at one of its ends, is below the floor, no
+    candidate of the ball can reach it. pred, (rows, cols), holds the
+    first-pass masses at the endpoints and at the other balls, these by
+    ``first_pass(c2, r2)`` in one call, and nan at the balls ruled out.
     """
     rows, cols = r2.shape
     ends = _endpoints(cols)
     end_s = score(end_pred, *(a if a.shape[1] == 1 else a[:, ends] for a in aux))
-    n_sides = end_s.shape[1]
     floor = max(floor, float(end_s.max()) - tau)
-
-    lo, hi = _endpoint_bracket(end_pred, c2, r2, tau + _COARSE_SLACK, point_mass)
+    left = np.arange(cols) // _BRACKET_STRIDE
+    lo = end_pred[:, left] - (tau + _COARSE_SLACK)
+    hi = end_pred[:, np.minimum(left + 1, ends.size - 1)] + (tau + _COARSE_SLACK)
     over = np.maximum(score(lo, *aux), score(hi, *aux)) >= floor
     # (a reduction over the sides axis, any(axis=1), is some 20 times slower)
     row, _, col = np.unravel_index(np.flatnonzero(over), over.shape)
     need = np.zeros((rows, cols), dtype=bool)
     need[row, col] = True
     need[:, ends] = False
-    r_in, c_in = np.nonzero(need)
-    in_s = np.empty((r_in.size, n_sides, 1))
-    if r_in.size:
-        c2_in = np.broadcast_to(c2, (rows, 1))[r_in, 0]
-        pred = first_pass(c2_in, r2[r_in, c_in])[:, None]
-        in_s = score(pred, *(np.broadcast_to(a, (rows, cols))[r_in, c_in, None] for a in aux))
-        floor = max(floor, float(in_s.max()) - tau)
-
-    # the candidates left, as flat indices into (rows, S, cols)
-    e_row, e_side, e_col = np.unravel_index(np.flatnonzero(end_s + tau >= floor), end_s.shape)
-    i_row, i_side, _ = np.unravel_index(np.flatnonzero(in_s + tau >= floor), in_s.shape)
-    f = np.concatenate([
-        (e_row * n_sides + e_side) * cols + ends[e_col],
-        (r_in[i_row] * n_sides + i_side) * cols + c_in[i_row],
-    ])
-    first_s = np.concatenate([end_s[e_row, e_side, e_col], in_s[i_row, i_side, 0]])
-    order = np.argsort(f)
-    return f[order], first_s[order], (rows, n_sides, cols), floor
-
-
-def _candidate(scores, i, centers, pred, aux) -> tuple:
-    """(value, center, s, pred, aux) of the candidate at flat index i of a
-    (rows, S, cols) score array; pred and aux broadcast to (rows, cols)."""
-    row, side, col = np.unravel_index(i, scores.shape)
-    shape = (scores.shape[0], scores.shape[2])
-
-    def at(a):
-        return float(np.broadcast_to(a, shape)[row, col])
-
-    return float(scores.flat[i]), centers[row], int(side), at(pred), tuple(at(a) for a in aux)
+    pred = np.full((rows, cols), np.nan)
+    pred[:, ends] = end_pred
+    pred[need] = first_pass(np.broadcast_to(c2, need.shape)[need], r2[need])
+    return pred, floor
 
 
 def _abs_gap(pred, emp, radii):
@@ -636,7 +572,7 @@ def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
     """Exact max of |empirical - predicted| over the net balls."""
     pts = _as_points(cloud, net.d)
     n = pts.shape[0]
-    _check_work(model, net.n_grid_balls, "the ball net", "use the mc estimator")
+    _check_work(model, net.d, net.n_grid_balls, "the ball net", "use the mc estimator")
     r2 = net.radii**2
 
     def blocks(m, masses):
@@ -697,8 +633,8 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
         if not np.all(np.isfinite(cens)):
             raise ValueError("sweep centers must be finite")
     # n data distances at each center, so at most n distinct radii
-    _check_work(model, cens.shape[0] * n, "the radial sweep", "use fewer points or centers")
-    point_mass = _point_mass(model)
+    _check_work(model, d, cens.shape[0] * n, "the radial sweep", "use fewer points or centers")
+    point_mass = float(model.profile.weights[model.profile.sigmas == 0.0].sum())
     frac = np.arange(n + 1) / n
     hi, lo = frac[None, 1:], frac[None, :-1]
 
@@ -771,7 +707,7 @@ def mc_ball_sup(
         raise ValueError(
             f"need finite center_box > 0 and max_radius > 0, got {center_box} and {max_radius}"
         )
-    _check_work(model, n_balls, "the mc estimator", "use fewer balls")
+    _check_work(model, d, n_balls, "the mc estimator", "use fewer balls")
     u = rng.stream(seed, _TAG_MC, d).random((n_balls, d + 1))
     centers = center_box * (2.0 * u[:, :d] - 1.0)
     radii = max_radius * (1.0 - u[:, d:])

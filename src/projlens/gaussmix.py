@@ -15,9 +15,9 @@ its own ||c||^2 and r^2, not on the other balls of its call.
 Two cheaper evaluators let the estimators rule balls out before the kernel
 scores the rest (``discrepancy._best_score``); neither gives a reported mass.
 The radial sweep calls them only at every few radii of a center and at its
-last, and brackets the balls between by those masses, since a ball's mass
-never falls as its radius grows; the balls left then take the cheaper
-evaluator, and those still left the kernel:
+last, and brackets the balls between by those masses, since a ball's mass,
+the point masses' included, never falls as its radius grows; the balls left
+then take the cheaper evaluator, and those still left the kernel:
 
 - ``coarse_model`` merges the atoms of a profile into few, one per narrow
   band of log sigma, and bounds the change of every ball mass by the total

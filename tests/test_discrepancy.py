@@ -715,22 +715,20 @@ def test_pruned_scoring_gives_the_unpruned_reports(pts, prof, seed, width, max_k
 @settings(max_examples=80, deadline=None)
 def test_endpoint_brackets_hold_every_exact_mass(pts, prof, width):
     # each center's balls at the sorted data distances, as the radial sweep
-    # forms them: every ball's exact mass lies in the bracket built from the
-    # first-pass masses at its row's endpoints, and the stage keeps every
+    # forms them: every ball's exact mass lies between the first-pass masses
+    # at its row's nearest endpoints on either side, less and plus tau and
+    # the slack, and the fill step leaves a finite first-pass mass at every
     # candidate whose exact score reaches the floor it returns. The first
     # pass is the sweep's, on coarse models from close to the exact one to
     # a single atom (width), or (None) one off by almost tau = 0.05 on
     # purpose, up and down in turn; point masses and ties included. A
-    # profile of point masses alone has no first pass, and the exact kernel
-    # stands in for it with tau = 0
+    # profile of point masses alone has the exact kernel as first pass
     n, d = pts.shape
     model = MixtureModel(prof, d)
     with mock.patch.multiple(
         discrepancy, _PRUNE_MIN_PAIRS=0, _PRUNE_ATOM_SHARE=1
     ), mock.patch.object(gaussmix, "_COARSE_LOG_WIDTH", width or 0.05):
-        first, masses, tau = discrepancy._pruning(model, 1) or (
-            model, gaussmix.mixture_masses_sq, 0.0
-        )
+        first, masses, tau = discrepancy._pruning(model, 1)
     if width is None:
         first, tau = model, 0.05
 
@@ -742,13 +740,9 @@ def test_endpoint_brackets_hold_every_exact_mass(pts, prof, width):
     sq.sort(axis=1)
     c2 = np.einsum("ij,ij->i", cens, cens)[:, None]
     r2 = np.sqrt(sq) ** 2
-    end_pred = masses(first, c2, r2[:, discrepancy._endpoints(n)])
-    point_mass = discrepancy._point_mass(model)
-    lo, hi = discrepancy._endpoint_bracket(
-        end_pred, c2, r2, tau + gaussmix._COARSE_SLACK, point_mass
-    )
     exact = gaussmix.mixture_masses_sq(model, c2, r2)
-    assert np.all(lo <= exact) and np.all(exact <= hi)
+    ends = discrepancy._endpoints(n)
+    end_pred = masses(first, c2, r2[:, ends])
 
     frac = np.arange(n + 1) / n
     aux = (frac[None, 1:], frac[None, :-1])
@@ -760,12 +754,17 @@ def test_endpoint_brackets_hold_every_exact_mass(pts, prof, width):
     # rescoring found it: every candidate that ties it must stay
     exact_s = score(exact, *aux)
     for start in (-math.inf, float(exact_s.max())):
-        f, _, shape, floor = discrepancy._endpoint_candidates(
-            lambda c2, r2: masses(first, c2, r2), tau, point_mass, score, c2, r2, end_pred, aux,
-            start,
+        pred, floor = discrepancy._bracket_fill(
+            lambda c2, r2: masses(first, c2, r2), tau, score, c2, r2, end_pred, aux, start
         )
-        assert shape == exact_s.shape and floor <= exact_s.max()
-        assert set(np.flatnonzero(exact_s >= floor)) <= set(f.tolist())
+        assert pred.shape == exact.shape and np.array_equal(pred[:, ends], end_pred)
+        slack = tau + gaussmix._COARSE_SLACK
+        left = ends[np.searchsorted(ends, np.arange(n), side="right") - 1]
+        right = ends[np.searchsorted(ends, np.arange(n))]
+        assert np.all(pred[:, left] - slack <= exact) and np.all(exact <= pred[:, right] + slack)
+        assert floor <= exact_s.max()
+        row, _, col = np.nonzero(exact_s >= floor)
+        assert np.all(np.isfinite(pred[row, col]))
 
 
 def _radial_manyatom_input(n=50, seed=1):
@@ -843,17 +842,22 @@ def test_one_atom_estimates_rescore_few_balls_exactly(monkeypatch):
         monkeypatch.undo()
 
 
+def _scalemix_input():
+    # shaped like the mc-scalemix bench input: 450 atoms at three scales, d = 2
+    gen = np.random.default_rng(5)
+    scales = np.repeat([0.1, 1.0, 3.0], 150) * np.exp(gen.normal(0.0, 0.02, 450))
+    return gen.normal(size=(450, 2)), MixtureModel(Profile.from_scales(scales), 2)
+
+
 def test_tiny_calls_keep_the_exact_path(monkeypatch):
     # the mc-scalemix input (900 pairs, d = 2) and a one-atom mc stream
     # under _PRUNE_MIN_PAIRS / 4 (2000 pairs, d = 1) score every ball once
     # with the exact kernel and model; no coarse model is built
     proj, one_atom = _one_atom_input()
-    gen = np.random.default_rng(5)
-    scales = np.repeat([0.1, 1.0, 3.0], 150) * np.exp(gen.normal(0.0, 0.02, 450))
-    scalemix = MixtureModel(Profile.from_scales(scales), 2)
+    pts, scalemix = _scalemix_input()
     cases = [
         (one_atom, lambda m: mc_ball_sup(proj, m, 2000, seed=1), 2000),
-        (scalemix, lambda m: mc_ball_sup(gen.normal(size=(450, 2)), m, 2, seed=2), 900),
+        (scalemix, lambda m: mc_ball_sup(pts, m, 2, seed=2), 900),
     ]
     for model, run, pairs in cases:
         monkeypatch.setattr(discrepancy, "coarse_model", None)
@@ -862,3 +866,30 @@ def test_tiny_calls_keep_the_exact_path(monkeypatch):
         assert all(is_exact and name == "mixture_masses_sq" for _, is_exact, name in calls)
         assert sum(p for p, _, _ in calls) == pairs
         monkeypatch.undo()
+
+
+def test_an_unpruned_estimate_makes_one_kernel_call(monkeypatch):
+    # where no cheaper first pass pays, the kernel itself is the first pass,
+    # and the kept candidates are rescored from its masses: the mc-scalemix
+    # estimate (2 balls, 450 live atoms) makes one call of 2 x 450 pairs
+    pts, model = _scalemix_input()
+    want = mc_ball_sup(pts, model, 2, seed=2)
+    calls = _count_kernel_pairs(monkeypatch, model)
+    assert mc_ball_sup(pts, model, 2, seed=2) == want
+    assert calls == [(900, True, "mixture_masses_sq")]
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda pts, model: sup_over_net(pts, model, build_ball_net(pts.shape[1], 1.0, 0.25)),
+    lambda pts, model: radial_sweep_sup(pts, model),
+    lambda pts, model: mc_ball_sup(pts, model, 100),
+], ids=["net", "radial", "mc"])
+@pytest.mark.parametrize("d, model_d", [(1, 2), (2, 1)])
+def test_estimators_refuse_a_model_of_another_dimension(monkeypatch, estimate, d, model_d):
+    # refused before any kernel call, with both dimensions named
+    pts = gaussian_sample(d, 200, 1.0, 0).data
+    model = MixtureModel(Profile.from_scales([1.0]), model_d)
+    monkeypatch.setattr(discrepancy, "mixture_masses_sq", None)
+    monkeypatch.setattr(discrepancy, "interval_masses", None)
+    with pytest.raises(ValueError, match=f"points have dimension {d}, the model {model_d}"):
+        estimate(pts, model)

@@ -260,7 +260,7 @@ def test_pilot_rates_net_script():
 def test_output_digest_script_is_stable(tmp_path):
     # one line per benchmark output, the same bytes on every run; --against
     # passes on a run's own lines and names each output that differs from
-    # saved lines, or that only one side has
+    # saved lines, or that only one side has; --seed picks the inputs
     script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
 
     def run(*args):
@@ -286,3 +286,10 @@ def test_output_digest_script_is_stable(tmp_path):
     assert differs.stderr.splitlines() == [
         "differs: cli mc", "differs: cli extra", "differs: cli net"
     ]
+    # another seed gives other inputs, so other digests, for the same outputs
+    seeded = run("--seed", "2")
+    assert seeded.returncode == 0, seeded.stderr
+    assert [line.split()[:2] for line in seeded.stdout.splitlines()] == [
+        line.split()[:2] for line in lines
+    ]
+    assert set(seeded.stdout.splitlines()).isdisjoint(lines)
