@@ -11,13 +11,18 @@ comes from one mpmath ``gammainc`` at the top of the window and the exact
 recurrence P(a - 1, y) = P(a, y) + y^(a-1) e^-y / Gamma(a) below it. K doubles
 until both edge terms are below 1e-45 of the sum.
 
+The d = 1 rows (1, lam, x, cdf) at lam = 1e8, ..., 1e13, with x = (sqrt lam -
+sqrt 200)^2, where the Chernoff bound is about e^-100, come from the closed
+form Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) in 60-digit arithmetic:
+the Poisson sum would need some sqrt(lam) terms there.
+
 The Stirling remainder stirlerr(n) = lgamma(n + 1) - (n + 1/2) log n + n -
 log(2 pi) / 2 is printed to 30 digits at the n of the STIRLERR rows, the
 table's half-integers up to 15 and three points of the series past it.
 
 Usage:
-  python scripts/tail_reference.py            # every LOWER_TAIL row, then STIRLERR
-  python scripts/tail_reference.py --new-only # only the rows at the e^-31 cut, then STIRLERR
+  python scripts/tail_reference.py            # every LOWER_TAIL row, the d = 1 rows, STIRLERR
+  python scripts/tail_reference.py --new-only # the rows at the e^-31 cut, the d = 1 rows, STIRLERR
 """
 
 import argparse
@@ -42,6 +47,7 @@ EARLIER = [
 CUT_LOG = -31.0
 CUT_LAMS = (1e4, 1e5, 1e6)
 CUT_DS = (1, 2, 5, 12)
+ONE_DOF_LAMS = (1e8, 1e9, 1e10, 1e11, 1e12, 1e13)
 STIRLERR_NS = [k / 2 for k in range(1, 31)] + [15.5, 40.0, 1e6]
 
 
@@ -85,6 +91,13 @@ def cdf(d, lam, x):
         k *= 2
 
 
+def one_dof_cdf(lam, x):
+    """Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) at 60 digits."""
+    with mp.workdps(60):
+        s_x, s_l = mp.sqrt(mp.mpf(x)), mp.sqrt(mp.mpf(lam))
+        return mp.ncdf(s_x - s_l) - mp.ncdf(-s_x - s_l)
+
+
 def stirlerr(n):
     """The Stirling-series remainder at 50 digits; at n = 1e6 its value, near
     8e-8, is left with some 35 of them after the cancellation."""
@@ -100,6 +113,10 @@ def main():
     rows += [(d, lam, cut_x(d, lam)) for lam in CUT_LAMS for d in CUT_DS]
     for d, lam, x in rows:
         print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+    print("# LOWER_TAIL_ONE_DOF")
+    for lam in ONE_DOF_LAMS:
+        x = (math.sqrt(lam) - math.sqrt(200.0)) ** 2
+        print(f"    (1, {lam!r}, {x!r}, {float(one_dof_cdf(lam, x))!r}),")
     print("# STIRLERR")
     for n in STIRLERR_NS:
         print(f"    ({n!r}, {mp.nstr(stirlerr(n), 30, min_fixed=-4)}),")

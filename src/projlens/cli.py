@@ -114,6 +114,8 @@ def _build_cloud(shape: str, args) -> PointCloud:
     # an experiment's --seed is absent unless given; the generator's own
     # default then applies
     seeded = {"seed": args.seed} if "seed" in args else {}
+    if shape in ("simplex", "crosspolytope") and args.n is not None:
+        raise ValueError(f"the {shape} has a fixed row count and takes no --n")
     if shape == "simplex":
         return gen_simplex(args.dim)
     if shape == "crosspolytope":

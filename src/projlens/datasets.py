@@ -244,6 +244,7 @@ def gen_cube(D: int, n: int | None = None, seed: int = 0) -> PointCloud:
         return PointCloud(bits * 2.0 - 1.0, centered=True)
     if n < 1:
         raise ValueError("sample size n must be >= 1")
+    _check_memory(n, D, "the cube sample")
     gen = rng.stream(seed, 0x43554245)
     data = gen.integers(0, 2, size=(n, D)).astype(float) * 2.0 - 1.0
     return PointCloud(data)
@@ -283,6 +284,7 @@ def gen_spherical(D: int, n: int, law: RadialLaw, seed: int = 0) -> PointCloud:
     """
     if D < 1 or n < 1:
         raise ValueError("need D >= 1 and n >= 1")
+    _check_memory(n, D, "the spherical cloud")
     gen = rng.stream(seed, 0x53504845)
     dirs = rng.normals(gen, (n, D))
     norms = np.linalg.norm(dirs, axis=1)
@@ -304,6 +306,7 @@ def gen_two_cluster(D: int, n: int, s: float, seed: int = 0) -> PointCloud:
         raise ValueError("need D >= 1 and n >= 2")
     if s < 0:
         raise ValueError("separation s must be >= 0")
+    _check_memory(n, D, "the two-cluster cloud")
     gen = rng.stream(seed, 0x434c5553)
     data = rng.normals(gen, (n, D))
     n_pos = (n + 1) // 2

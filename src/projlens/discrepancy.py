@@ -29,15 +29,15 @@ keep its masses, so each ball is scored once. Every ball that ties the
 exact maximum is kept, so the reports are the same, bit for bit, as when
 every ball is scored exactly.
 
-In front of a cheaper first pass the radial sweep puts one more stage,
-which needs no table: an endpoint bracket. Each of its rows holds one
-center's balls in nondecreasing radius, and at a fixed center a ball's
-mass, its point masses' included, never falls as its radius grows. So the
-first pass scores only every _BRACKET_STRIDE-th ball of a row and its last,
-and every ball between two of these lies between their masses, less and
-plus tau and _COARSE_SLACK. The first pass also scores the balls this
-bracket cannot rule out; the others get a nan mass, which no candidate
-test passes. The net keeps its table of distinct squared norms and mc its
+In front of its first pass, the exact kernel included, the radial sweep
+puts one more stage, which needs no table: an endpoint bracket. Each of its
+rows holds one center's balls in nondecreasing radius, and at a fixed
+center a ball's mass, its point masses' included, never falls as its radius
+grows. So the first pass scores only every _BRACKET_STRIDE-th ball of a row
+and its last, and every ball between two of these lies between their
+masses, less and plus tau and _COARSE_SLACK. The first pass also scores
+the balls this bracket cannot rule out; the others get a nan mass, which no
+candidate test passes. The net keeps its table of distinct squared norms and mc its
 one radius per center, so both go straight to the first pass.
 
 Closed balls throughout; boundary ties count as inside.
@@ -91,17 +91,21 @@ _PRUNE_MIN_PAIRS = 2**14
 _PRUNE_ATOM_SHARE = 4
 # candidates ``_best_score`` holds before it rescores them
 _PRUNE_MAX_KEPT = 2**16
-# in a block of sorted rows a cheaper first pass scores every _BRACKET_STRIDE-th
-# ball of a row and its last, and brackets the balls between by those
-# (``_bracket_fill``). The bracket costs about as much a ball as the
-# d = 1 closed form on one atom, so at d = 1 it needs _BRACKET_MIN_ATOMS
-# live first-pass atoms. Radial sweeps against the plain first pass, median
-# of 40 to 60 interleaved runs, one core of a 2-core machine:
-# - the radial-manyatom input (d = 2, n = 50, seeds 1 and 2) took 0.65 and
-#   0.67 times as long at stride 2, 0.52 and 0.48 at 4, 0.48 at 8;
-# - d = 1, n = 400 normal points: 1.15 times as long on one atom; on 2
-#   atoms 0.87 at stride 2, 0.67 at 4, 0.57 at 8; on 8 atoms 0.79, 0.56 and
-#   0.53. Past 4 the brackets widen and little more is saved
+# in a block of sorted rows the first pass, the exact kernel included,
+# scores every _BRACKET_STRIDE-th ball of a row and its last, and brackets
+# the balls between by those (``_bracket_fill``). The bracket costs about as
+# much a ball as the d = 1 closed form on one atom, so at d = 1 it needs
+# _BRACKET_MIN_ATOMS live first-pass atoms. Radial sweeps, median of 21 to
+# 60 interleaved runs, one core of a 2-core machine:
+# - in front of the exact kernel, on normal points: d = 2, 400 points, one
+#   atom 46 -> 21 ms; 50 points, 50 atoms 33 -> 12 ms; d = 3, 200 points,
+#   3 atoms 43 -> 13 ms; but d = 2, 30 points, one atom 0.66 -> 0.74 ms;
+# - against the plain first pass, the radial-manyatom input (d = 2, n = 50,
+#   seeds 1 and 2) took 0.65 and 0.67 times as long at stride 2, 0.52 and
+#   0.48 at 4, 0.48 at 8; d = 1, n = 400 normal points: 1.15 times as long
+#   on one atom; on 2 atoms 0.87 at stride 2, 0.67 at 4, 0.57 at 8; on 8
+#   atoms 0.79, 0.56 and 0.53. Past 4 the brackets widen and little more is
+#   saved
 _BRACKET_STRIDE = 4
 _BRACKET_MIN_ATOMS = 2
 
@@ -258,19 +262,23 @@ def build_ball_net(d: int, c: float, eps_o: float) -> BallNet:
     half = c * math.sqrt(d)
     step = 2.0 * eps_o
     k = int(math.floor(half / step * (1.0 + _NET_GRID_RTOL)))
-    axis = step * np.arange(-k, k + 1, dtype=float)
-    if not np.isclose(axis[-1], half, rtol=_NET_GRID_RTOL, atol=0.0):
-        axis = np.concatenate([[-half], axis, [half]])
+    # the axis is step * (-k, ..., k), with -half and half added where its
+    # last entry misses half
+    hits_half = abs(step * k - half) <= _NET_GRID_RTOL * half
     r_step = eps_o * math.sqrt(d)
     r_top = (2.0 * c + 2.0 * eps_o) * math.sqrt(d)
     n_radii = int(math.ceil(r_top / r_step * (1.0 - _NET_GRID_RTOL)))
-    radii = r_step * np.arange(1, n_radii + 1, dtype=float)
-    m = len(axis) ** d * len(radii)
+    # counted in Python ints, and refused before any array is allocated
+    m = (2 * k + (1 if hits_half else 3)) ** d * n_radii
     if m > NET_SIZE_LIMIT:
         raise SizeLimitError(
             f"ball net would hold {m} balls, over the {NET_SIZE_LIMIT} limit; "
             "use the mc estimator instead"
         )
+    axis = step * np.arange(-k, k + 1, dtype=float)
+    if not hits_half:
+        axis = np.concatenate([[-half], axis, [half]])
+    radii = r_step * np.arange(1, n_radii + 1, dtype=float)
     return BallNet(d=d, c=c, eps_o=eps_o, axis=axis, radii=radii)
 
 
@@ -424,11 +432,11 @@ def _best_score(
     tau, or the best exact score found so far. So a candidate whose
     first-pass score plus tau is below the floor cannot reach it, and only
     the others are kept. With ``sorted_rows`` (each row of a block one
-    center's balls in nondecreasing r^2) a cheaper first pass scores only
-    the endpoint balls of each row, and the others only where their bracket
-    does not rule them out (``_bracket_fill``). The kept candidates are
-    rescored in candidate order, whenever more than _PRUNE_MAX_KEPT are held
-    and at the end: by the exact kernel on the same c2, r2 bits, or, where
+    center's balls in nondecreasing r^2) the first pass, but for one atom at
+    d = 1, scores only the endpoint balls of each row, and the others only
+    where their bracket does not rule them out (``_bracket_fill``). The kept
+    candidates are rescored in candidate order, whenever more than
+    _PRUNE_MAX_KEPT are held and at the end: by the exact kernel on the same c2, r2 bits, or, where
     the first pass is the kernel itself, from its masses, so that every ball
     is scored once. Every candidate that ties the exact maximum is kept, so
     the winner is the one that scoring every ball exactly finds.
@@ -436,7 +444,7 @@ def _best_score(
     first, masses, tau = _pruning(model, n_balls)
     exact = first is model and masses is mixture_masses_sq
     # the endpoint bracket costs about what the d = 1 closed form costs on one atom
-    bracket = sorted_rows and not exact and (
+    bracket = sorted_rows and (
         model.d > 1 or np.count_nonzero(first.profile.sigmas) >= _BRACKET_MIN_ATOMS
     )
     best, floor, kept, n_kept = None, -math.inf, [], 0

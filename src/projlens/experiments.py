@@ -286,6 +286,8 @@ def run_decay(
     _check_threads(threads)
     if estimator not in ("radial", "mc"):
         raise ValueError(f"estimator must be radial or mc, got {estimator!r}")
+    if shape in ("simplex", "crosspolytope") and n is not None:
+        raise ValueError(f"the {shape} has a fixed row count and takes no n")
     seeds = _seed_list(seed, n_seeds)
 
     def cell(key):

@@ -189,8 +189,9 @@ def interval_masses(model: MixtureModel, c2, r2) -> np.ndarray:
     A ball is the interval [|c| - r, |c| + r]. With lam = ||c||^2 / sigma^2
     and x = r^2 / sigma^2, the bits the kernel forms, an atom's mass is
     ``special.normal_tail_difference(lam, x)``, the kernel's own route at
-    0 < x <= lam with sqrt(x lam) >= 1/2 (bit for bit there): two ndtr calls
-    per (live atom, ball) pair, plus the point masses where c^2 <= r^2.
+    0 < x <= lam with sqrt(x lam) >= 1/2, deep lower tail included (bit for
+    bit there): two ndtr calls per (live atom, ball) pair, plus the point
+    masses where c^2 <= r^2.
 
     Bound: both ndtr arguments carry a relative error of at most 4 units of
     roundoff (u = 2^-53), which moves ndtr by at most max |t phi(t)| 4u =

@@ -46,21 +46,22 @@ that holds for it, and nothing cancels on any of them:
   sqrt 2)) / 2, a sum of two positive terms;
 - d = 1, x > lam, F >= 1/2: 1 - (erfc((s_x - s_l) / sqrt 2) + erfc((s_x +
   s_l) / sqrt 2)) / 2; near F = 1 the erf sum could rise with lam by one ulp;
+- d = 1, s_x s_l >= 1/2 (x <= lam), at any depth: ``ndtr(s_x - s_l) -
+  ndtr(-s_x - s_l)``, two lower tails in ratio about e^(-2 s_x s_l) <= e^-1,
+  so under one bit is lost (``normal_tail_difference``, which
+  ``gaussmix.interval_masses`` also uses);
 - deep lower tail: ``_lower_tail_sum`` as above, and 0 where the Chernoff
-  bound is below the smallest subnormal;
-- d = 1, s_x s_l >= 1/2 (x <= lam): ``ndtr(s_x - s_l) - ndtr(-s_x - s_l)``,
-  two lower tails in ratio about e^(-2 s_x s_l) <= e^-1, so under one bit is
-  lost (``normal_tail_difference``, which ``gaussmix.interval_masses`` also
-  uses);
+  bound is below the smallest subnormal; at d = 1 only lam x < 1/4 is left,
+  where its peak term is j = 0;
 - the rest: ``chndtr``, and at d >= 2 ``_convolved`` where it returns nan.
   At d = 1 these pairs have x <= lam and s_x s_l < 1/2, so x < 1/2.
 
 s_x - s_l is taken as (x - lam) / (s_x + s_l), which keeps its relative
 precision where x is near lam. On 6000 log-uniform pairs (lam from 1e-12 to
 3e3, x from 1e-12 to 5e3) against 60-digit mpmath the routes stay within
-2.2e-16 absolute (``chndtr`` on every pair: 1e-15) and 9.1e-14 relative, the
-deep-tail sum's worst, as before. The normal-tail difference on every pair
-reaches 3.1e-9 relative there, in the deep tail.
+2.2e-16 absolute (``chndtr`` on every pair: 1e-15) and 4.5e-13 relative, on
+a deep normal-tail pair. That difference on every pair reaches 3.6e-9
+relative, where s_x s_l < 1/2 and its two tails cancel.
 """
 
 from __future__ import annotations
@@ -248,12 +249,6 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
         raise ValueError("noncentrality must be finite and >= 0")
     if np.isnan(x_arr).any():
         raise ValueError("chi-square argument x must not be nan")
-    return _routed(d, lam_arr, x_arr)
-
-
-def _routed(d: int, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
-    """``chisq_cdf_pairs`` on inputs it has validated: 1-d or higher float
-    arrays of one shape, lam finite and >= 0, x not nan."""
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     if not np.any(pos):
@@ -271,6 +266,12 @@ def _routed(d: int, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
         if erf.any():
             vals[erf] = _erf_sum(lam[erf], x[erf])
         rest &= ~erf
+        # s_x s_l is nan at lam = 0, x = inf, an erf-sum pair
+        with np.errstate(invalid="ignore"):
+            tails = rest & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
+        if tails.any():
+            vals[tails] = normal_tail_difference(lam[tails], x[tails])
+        rest &= ~tails
     if rest.any():
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_bound = np.where(xh < b + half, _log_chernoff(b, half, xh), 0.0)
@@ -280,13 +281,6 @@ def _routed(d: int, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
         deep &= log_bound > _LOG_SUBNORMAL
         if deep.any():
             vals[deep] = _lower_tail_sum(b, half[deep], xh[deep])
-    if d == 1 and rest.any():
-        # s_x s_l is nan at lam = 0, x = inf, an erf-sum pair
-        with np.errstate(invalid="ignore"):
-            tails = rest & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
-        if tails.any():
-            vals[tails] = normal_tail_difference(lam[tails], x[tails])
-        rest &= ~tails
     if rest.any():
         x_r, lam_r = x[rest], lam[rest]
         cdf = sps.chndtr(x_r, d, lam_r)
@@ -342,9 +336,12 @@ def _convolved(d: int, lam: float, x: float) -> float:
     dof, which has no singularity at 0. It holds under e^-72 of its mass past
     sqrt(d - 1) + 12, where the integral stops. quad is asked for
     _QUAD_ABS absolute: x itself is known to half an ulp, which moves the CDF
-    by about that much at lam = 1e11 and by more above. Its nodes take the
-    d = 1 routes through ``_routed``, without ``chisq_cdf_pairs``'s checks,
-    which the node's (lam, x) pass by construction.
+    by about that much at lam = 1e11 and by more above. A node calls the d = 1
+    closed form for F_1(lam, x'), x' = max(x - s^2, 0), directly: the erf sum
+    where x' > lam, else the normal-tail difference. Only pairs where
+    ``chndtr`` returns nan come here, lam from about 1e11 up, so a node at
+    x' <= lam has s_x s_l >= 1/2, the kernel's own route, or x' < 1 / (4 lam),
+    where F_1 is far below the smallest subnormal and both give 0.
     """
     # imported here: it would add about 0.2 s to every CLI command's start-up
     from scipy.integrate import quad
@@ -354,7 +351,8 @@ def _convolved(d: int, lam: float, x: float) -> float:
     lam_a = np.array([lam])
 
     def integrand(s: float) -> float:
-        cdf_1 = _routed(1, lam_a, np.array([max(x - s * s, 0.0)]))[0]
+        x_1 = max(x - s * s, 0.0)
+        cdf_1 = (_erf_sum if x_1 > lam else normal_tail_difference)(lam_a, np.array([x_1]))[0]
         return math.exp(log_norm + sps.xlogy(k - 1, s) - s * s / 2.0) * cdf_1
 
     top = min(math.sqrt(x), math.sqrt(k) + _CHI_TAIL)

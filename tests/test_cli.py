@@ -71,6 +71,22 @@ def test_experiment_refuses_flags_it_does_not_take(tmp_path, name, flag):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("gen", "--shape", "crosspolytope", "--dim", 5, "--out", "x.csv"),
+     ("experiment", "profile_table", "--shape", "simplex", "--dim", 5, "--out-dir", "."),
+     ("experiment", "decay", "--shape", "simplex", "--grid", "8,16", "--out-dir", ".")],
+    ids=["gen", "experiment", "decay"],
+)
+def test_fixed_size_shapes_refuse_n(tmp_path, command):
+    # the simplex and the cross-polytope have D + 1 and 2 D rows; an --n
+    # that would be ignored is refused, naming the shape
+    res = run_cli(*command, "--n", 3, cwd=tmp_path)
+    assert res.returncode == 1
+    assert f"the {command[command.index('--shape') + 1]} has a fixed row count" in res.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_experiment_help_lists_only_its_flags():
     res = run_cli("experiment", "cube1d", "--help")
     assert res.returncode == 0

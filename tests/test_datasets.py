@@ -84,12 +84,19 @@ def test_cross_polytope_is_built_in_place():
 
 
 @pytest.mark.parametrize(
-    "gen, rows", [(gen_simplex, lambda D: D + 1), (gen_cross_polytope, lambda D: 2 * D)]
+    "gen, rows",
+    [
+        (gen_simplex, lambda D: D + 1),
+        (gen_cross_polytope, lambda D: 2 * D),
+        pytest.param(lambda D: gen_cube(D, n=D), lambda D: D, id="gen_cube"),
+        pytest.param(lambda D: gen_spherical(D, D, AtomLaw(1.0)), lambda D: D, id="gen_spherical"),
+        pytest.param(lambda D: gen_two_cluster(D, D, 4.0), lambda D: D, id="gen_two_cluster"),
+    ],
 )
 def test_dense_generators_refuse_clouds_over_the_memory_limit(monkeypatch, gen, rows):
     # with the limit patched down to 1 MiB, D = 1000 asks for some 8 or 16 MB
-    # and is refused before anything of that size is allocated; the message
-    # states the bytes. D = 100 still fits
+    # (n = D rows for the sampled shapes) and is refused before anything of
+    # that size is allocated; the message states the bytes. D = 100 still fits
     monkeypatch.setattr(datasets, "MEMORY_LIMIT", 2**20)
     nbytes = rows(1000) * 1000 * 8
     tracemalloc.start()

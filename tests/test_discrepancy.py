@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -121,6 +122,17 @@ def test_build_ball_net_coarse_grid_and_radius_bound():
 def test_build_ball_net_size_limit():
     with pytest.raises(SizeLimitError, match="limit"):
         build_ball_net(3, 50.0, 0.01)
+    # refused before any array is allocated: a 1e8-entry axis and 2e8 radii
+    # (2.4 GB) at c = 1e4, exabytes at c = 1e9
+    tracemalloc.start()
+    try:
+        for c, eps_o in ((1e4, 1e-4), (1e9, 1e-9)):
+            with pytest.raises(SizeLimitError, match="ball net would hold"):
+                build_ball_net(1, c, eps_o)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
     with pytest.raises(ValueError):
         build_ball_net(0, 1.0, 0.1)
     with pytest.raises(ValueError):
@@ -526,10 +538,12 @@ def test_radial_sweep_blocks_equal_per_center_sweep(pts, prof, raw_centers, budg
 
 @pytest.mark.parametrize("d, atoms", [(1, 1), (2, 50)])
 def test_radial_sweep_kernel_calls_stay_within_block_budget(monkeypatch, d, atoms):
-    # each block of the sweep is scored in one call of at most 2^14 (live
-    # atom, ball) pairs, unless one center alone has more: by the kernel, or
-    # at d = 1 by the closed-form bracket (the exact rescoring of the few
-    # kept balls takes flat arrays and is not a block)
+    # each block of the sweep is one call over centers whose n balls each
+    # hold at most 2^14 (live atom, ball) pairs, unless one center alone has
+    # more: by the kernel, or at d = 1 by the closed-form bracket. The call
+    # may score only the endpoint balls of the block (``_bracket_fill``);
+    # the bracket's fill and the exact rescoring of the few kept balls take
+    # flat arrays and are not blocks
     gen = np.random.default_rng(d)
     n = 400 if atoms == 1 else 50
     pts = gen.normal(size=(n, d))
@@ -541,8 +555,7 @@ def test_radial_sweep_kernel_calls_stay_within_block_budget(monkeypatch, d, atom
 
         def wrapped(m, c2, r2):
             if np.ndim(c2) == 2:
-                pairs = np.broadcast(c2, r2).size * np.count_nonzero(m.profile.sigmas)
-                calls.append((pairs, len(c2)))
+                calls.append((len(c2) * n * np.count_nonzero(m.profile.sigmas), len(c2)))
             return masses(m, c2, r2)
 
         monkeypatch.setattr(discrepancy, name, wrapped)
@@ -695,7 +708,7 @@ def test_pruned_scoring_gives_the_unpruned_reports(pts, prof, seed, width, max_k
     # exact one to a single atom (width), and exact rescoring after every
     # block (max_kept = 1) included
     model = MixtureModel(prof, pts.shape[1])
-    with mock.patch.object(discrepancy, "_PRUNE_MIN_PAIRS", 10**18):
+    with mock.patch.multiple(discrepancy, _PRUNE_MIN_PAIRS=10**18, _BRACKET_STRIDE=1):
         want = [json.dumps(r.to_json()) for r in _estimates(pts, model, seed)]
     with mock.patch.multiple(
         discrepancy, _PRUNE_MIN_PAIRS=0, _PRUNE_ATOM_SHARE=1, _PRUNE_MAX_KEPT=max_kept
@@ -831,7 +844,7 @@ def test_one_atom_estimates_rescore_few_balls_exactly(monkeypatch):
         (lambda m: sup_over_net(proj, m, net), len(np.unique(net.axis**2)) * len(net.radii)),
     ]
     for run, pairs in cases:
-        with mock.patch.object(discrepancy, "_PRUNE_MIN_PAIRS", 10**18):
+        with mock.patch.multiple(discrepancy, _PRUNE_MIN_PAIRS=10**18, _BRACKET_STRIDE=1):
             want = json.dumps(run(model).to_json())
         monkeypatch.setattr(discrepancy, "coarse_model", None)
         calls = _count_kernel_pairs(monkeypatch, model)

@@ -198,6 +198,10 @@ def test_decay_parameter_validation():
         run_decay(grid=(100,))
     with pytest.raises(ValueError):
         run_decay(shape="blob", grid=(16, 32), n_seeds=1)
+    # the simplex and the cross-polytope have D + 1 and 2 D rows, not n
+    for shape in ("simplex", "crosspolytope"):
+        with pytest.raises(ValueError, match=f"the {shape} has a fixed row count"):
+            run_decay(shape=shape, grid=(16, 32), n=3, n_seeds=1)
     with pytest.raises(ValueError):
         run_cube1d(n_seeds=0)
 

@@ -380,31 +380,34 @@ def test_interval_bracket_stays_within_1e12_of_the_kernel(prof, balls):
 
 
 def test_interval_bracket_is_the_kernel_bit_for_bit_on_its_closed_form_route():
-    # at 0 < x <= lam with sqrt(x lam) >= 1/2, neither tiny nor deep, the
-    # kernel's d = 1 route is the bracket's own closed form, so a one-atom
-    # model gets the same bits from both
+    # at 0 < x <= lam with sqrt(x lam) >= 1/2, deep in the lower tail or
+    # not, the kernel's d = 1 route is the bracket's own closed form, so a
+    # one-atom model gets the same bits from both; the deep pairs have lam
+    # up to 1e13 and a Chernoff exponent near -c, c from 30 to 690
     gen = np.random.default_rng(7)
     lam = 10.0 ** gen.uniform(-2.0, 4.0, 20_000)
     x = lam * gen.uniform(0.0, 1.0, lam.size)
-    b, half, xh = 0.5, lam / 2.0, x / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deep = special._log_chernoff(b, half, xh) < special._DEEP_TAIL_LOG
-    route = (x > 0.0) & (np.sqrt(x) * np.sqrt(lam) >= 0.5) & ~deep
-    route &= ~special._is_tiny(half, xh)
+    deep_lam = 10.0 ** gen.uniform(0.0, 13.0, 4000)
+    deep_x = (np.sqrt(deep_lam) - np.sqrt(2.0 * gen.uniform(30.0, 690.0, 4000))) ** 2
+    lam, x = np.concatenate([lam, deep_lam]), np.concatenate([x, deep_x])
+    route = (x > 0.0) & (x <= lam) & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
     lam, x = lam[route], x[route]
-    assert lam.size > 5000
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deep = special._log_chernoff(0.5, lam / 2.0, x / 2.0) < special._DEEP_TAIL_LOG
+    assert lam.size > 5000 and np.count_nonzero(deep) > 2000
     model = _model([1.0], [1.0], 1)
     got = gaussmix.interval_masses(model, lam, x)
     assert got.tobytes() == gaussmix.mixture_masses_sq(model, lam, x).tobytes()
 
 
 def test_interval_bracket_routes_and_edge_balls():
-    # the property above reaches the kernel's tiny-x and deep-tail routes;
+    # the property above reaches the kernel's tiny-x and deep-tail routes
+    # (at d = 1 the deep-tail sum takes only lam x < 1/4, here 0.1);
     # balls the closed form cannot take (B(0, 0), r = inf, lam = inf) get the
     # kernel's value or its refusal
     model = _model([0.0, 1.0], [0.25, 0.75], 1)
     c2 = np.array([4.0, 1e3, 0.0, 0.0, 9.0])
-    r2 = np.array([1e-300, 1.0, 0.0, np.inf, 4.0])
+    r2 = np.array([1e-300, 1e-4, 0.0, np.inf, 4.0])
     with mock.patch.object(special, "_lower_tail_sum", wraps=special._lower_tail_sum) as deep:
         want = gaussmix.mixture_masses_sq(model, c2, r2)
     assert deep.called

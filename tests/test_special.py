@@ -1,6 +1,7 @@
 """Chi-square CDF tests against closed forms, scipy, mpmath and frozen MC counts."""
 
 import math
+import time
 import warnings
 from unittest import mock
 
@@ -113,6 +114,19 @@ LOWER_TAIL = [
     (12, 1000000.0, 984326.0, 1.7246327281064945e-15),
 ]
 
+# d = 1 at lam = 1e8 to 1e13, x = (sqrt lam - sqrt 200)^2, where the Chernoff
+# bound is about e^-100: the closed form Phi(sqrt x - sqrt lam) -
+# Phi(-sqrt x - sqrt lam) in 60 digits (scripts/tail_reference.py), where the
+# Poisson sum would span some sqrt(lam) terms
+LOWER_TAIL_ONE_DOF = [
+    (1, 100000000.0, 99717357.28752537, 1.0442437918736384e-45),
+    (1, 1000000000.0, 999105772.8090001, 1.0442437918930918e-45),
+    (1, 10000000000.0, 9997171772.875256, 1.0442437920129906e-45),
+    (1, 100000000000.0, 99991055928.08998, 1.0442437914175215e-45),
+    (1, 1000000000000.0, 999971715928.7526, 1.0442437920695885e-45),
+    (1, 10000000000000.0, 9999910557480.9, 1.0442437927781622e-45),
+]
+
 
 def _pairs_at(d, lam, x):
     return float(chisq_cdf_pairs(d, np.array([lam]), np.array([x]))[0])
@@ -127,7 +141,7 @@ def _through_both(rows):
     ]
 
 
-@pytest.mark.parametrize("cdf, d, lam, x, want", _through_both(LOWER_TAIL))
+@pytest.mark.parametrize("cdf, d, lam, x, want", _through_both(LOWER_TAIL + LOWER_TAIL_ONE_DOF))
 def test_lower_tail_relative_accuracy(cdf, d, lam, x, want):
     assert cdf(d, lam, x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -185,6 +199,34 @@ def test_deep_tail_sum_takes_few_block_passes():
         got = chisq_cdf(2, 1e6, 984316.0)
     assert got == pytest.approx(1.7243584220533698e-15, rel=1e-12, abs=0.0)
     assert 2 <= len(passes) <= 40
+
+
+# (log10 lam, c) as above, lam up to 1e13: d = 1 pairs in the deep tail
+_deep_one_dof = st.tuples(st.floats(0.0, 13.0), st.floats(30.0, 690.0))
+
+
+@given(pairs=st.lists(_deep_one_dof, min_size=1, max_size=20))
+@settings(max_examples=40, deadline=None)
+@example(pairs=[(13.0, 100.0)])
+def test_one_dof_pairs_take_the_closed_form_at_any_depth(pairs):
+    # every d = 1 pair at x <= lam with sqrt(x lam) >= 1/2 takes the
+    # normal-tail difference, however deep in the tail: none reaches the
+    # deep-tail sum, whose cost grows like sqrt(lam), so a batch that holds
+    # a pair at lam = 1e13 returns in well under 10 ms (it took 1.8 s there)
+    lam = np.array([10.0**e for e, _ in pairs])
+    x = np.array([(math.sqrt(10.0**e) - math.sqrt(2.0 * c)) ** 2 for e, c in pairs])
+    keep = (x <= lam) & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
+    assume(keep.any())
+    lam, x = lam[keep], x[keep]
+    with mock.patch.object(special, "_lower_tail_sum", side_effect=AssertionError) as deep:
+        took = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            got = chisq_cdf_pairs(1, lam, x)
+            took = min(took, time.perf_counter() - start)
+    assert not deep.called
+    assert took < 0.01
+    assert got.tobytes() == special.normal_tail_difference(lam, x.copy()).tobytes()
 
 
 def test_nan_argument_is_refused():
@@ -302,8 +344,11 @@ def test_nonincreasing_in_noncentrality(d, lam, dlam, x):
 # mpmath values (60 digits) of Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam),
 # the d = 1 CDF, in pairs on both sides of each cut between its routes:
 # x = lam (erf sum above), sqrt(x lam) = 1/2 (normal-tail difference at or
-# above, chndtr below), the deep-tail cut near x = 41.57 at lam = 200, and
-# the tiny-x cut (lam/2)(x/2) = 1e-90; the last value is subnormal
+# above, however deep, chndtr below), and the tiny-x cut (lam/2)(x/2) =
+# 1e-90, past which the deep-tail sum takes the pair (its peak term is
+# j = 0 there). The pair near x = 41.57 at lam = 200 straddles the e^-30
+# Chernoff cut, which once split the routes there and now does not: both
+# take the normal-tail difference. The last value is subnormal
 ONE_DOF_ROUTES = [
     (1, 100.0, 99.0, 0.4800111382348642),
     (1, 100.0, 101.0, 0.5198892476769775),
@@ -328,9 +373,11 @@ def test_one_dof_routes_match_mpmath(cdf, d, lam, x, want):
 
 
 # the cuts between the d = 1 routes as points in x at a given lam: x = lam,
-# x lam = 1/4, the deep-tail cut (roughly where (sqrt lam - sqrt x)^2 = 60;
-# none below lam = 60) and the tiny-x cut; two points around a cut, each 0 or
-# from 1e-9 up to 50% off it, land on either side of it or on it
+# x lam = 1/4 and the tiny-x cut; and the deep-tail cut (roughly where
+# (sqrt lam - sqrt x)^2 = 60; none below lam = 60), which splits no d = 1
+# routes past x lam = 1/4, kept as a check of the normal-tail difference
+# there; two points around a cut, each 0 or from 1e-9 up to 50% off it, land
+# on either side of it or on it
 _X_CUTS = [
     lambda lam: lam,
     lambda lam: 0.25 / lam,
@@ -353,7 +400,8 @@ def test_one_dof_monotone_in_x_across_routes(lam, cut, below, above):
     assert 0.0 <= lo <= hi <= 1.0
 
 
-# the same cuts as points in lam at a given x, but for the tiny-x one, where
+# the same cuts as points in lam at a given x (the deep-tail one again
+# within the normal-tail difference where x lam >= 1/4), but for the tiny-x one, where
 # lam < 4e-90 / x moves F far less than its rounding, so which route comes
 # out higher is noise; for the same reason the steps are 1e-3 or more (near
 # lam = 1e-6 a step of 1e-9 moves F by about 5e-16 of itself)
@@ -395,14 +443,16 @@ def _route_pairs(lam, x_of):
 
 
 # (lam, x) pairs aimed at each route of the kernel: tiny x, the d = 1 erf sum
-# (x > lam), the deep lower tail (Chernoff exponent from -31 to -400), the
-# d = 1 normal-tail difference (x just below lam), and chndtr at d >= 2 and
-# at d = 1 (x <= lam, x lam < 1/4)
+# (x > lam), the deep lower tail (Chernoff exponent from -31 to -400, which
+# at d = 1 the normal-tail difference takes; and, at every d, x lam from
+# 0.0125 to 0.2375 with lam from 200 up), the d = 1 normal-tail difference
+# (x just below lam), and chndtr at d >= 2 and at d = 1 (x <= lam, x lam < 1/4)
 _ROUTE_PAIRS = [
     _route_pairs(st.floats(1e-6, 1e6), lambda lam, u: (0.05 + 0.9 * u) * 4e-90 / lam),
     _route_pairs(st.floats(1e-6, 1e4), lambda lam, u: lam * (1.0 + 10.0**(6.0 * u - 5.0))),
     _route_pairs(st.floats(1e3, 1e5),
                  lambda lam, u: (math.sqrt(lam) - math.sqrt(2.0 * (31.0 + 369.0 * u))) ** 2),
+    _route_pairs(st.floats(200.0, 1e4), lambda lam, u: (0.05 + 0.9 * u) * 0.25 / lam),
     _route_pairs(st.floats(1.0, 1e6), lambda lam, u: (math.sqrt(lam) - 5.0 * u) ** 2),
     _route_pairs(st.floats(0.0, 100.0), lambda lam, u: 0.01 + 200.0 * u),
     _route_pairs(st.floats(1e-6, 10.0), lambda lam, u: (0.01 + 0.99 * u) * min(lam, 0.2 / lam)),
@@ -459,10 +509,13 @@ def test_nan_pairs_of_chndtr_take_the_convolution():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_convolution_agrees_with_chndtr_where_it_is_finite(d):
+    # its nodes call the d = 1 closed forms, not the validating kernel
     lam = 1e10
-    for t in (-2.0, 0.0, 2.0):
-        x = lam + d + t * math.sqrt(2 * (d + 2 * lam))
-        assert _convolved(d, lam, x) == pytest.approx(sps.chndtr(x, d, lam), abs=1e-11)
+    with mock.patch.object(special, "chisq_cdf_pairs", side_effect=AssertionError) as kernel:
+        for t in (-2.0, 0.0, 2.0):
+            x = lam + d + t * math.sqrt(2 * (d + 2 * lam))
+            assert _convolved(d, lam, x) == pytest.approx(sps.chndtr(x, d, lam), abs=1e-11)
+    assert not kernel.called
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
