@@ -16,13 +16,22 @@ sqrt 200)^2, where the Chernoff bound is about e^-100, come from the closed
 form Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) in 60-digit arithmetic:
 the Poisson sum would need some sqrt(lam) terms there.
 
+The rows in the Bessel series' domain are (d, lam, x, cdf) at d = 2, 3, 5, 12,
+lam = 300, 1500, 5000 and x = lam / 4, lam / 16, lam / 64, kept where the
+Chernoff bound is below e^-30 (the deep tail) and the CDF is a normal double;
+they come from the same Poisson-mixture sum, which does not use the series.
+The deep walk rows, at d = 2, 11 and lam = 2e4, 3e4, lie at the integer x
+nearest to where the Chernoff bound is e^-400 and e^-650: there the walk's
+peak term is far from both Poisson means, past the series range of its
+Loader form.
+
 The Stirling remainder stirlerr(n) = lgamma(n + 1) - (n + 1/2) log n + n -
 log(2 pi) / 2 is printed to 30 digits at the n of the STIRLERR rows, the
 table's half-integers up to 15 and three points of the series past it.
 
 Usage:
   python scripts/tail_reference.py            # every LOWER_TAIL row, the d = 1 rows, STIRLERR
-  python scripts/tail_reference.py --new-only # the rows at the e^-31 cut, the d = 1 rows, STIRLERR
+  python scripts/tail_reference.py --new-only # the series-domain and deep walk rows
 """
 
 import argparse
@@ -48,6 +57,14 @@ CUT_LOG = -31.0
 CUT_LAMS = (1e4, 1e5, 1e6)
 CUT_DS = (1, 2, 5, 12)
 ONE_DOF_LAMS = (1e8, 1e9, 1e10, 1e11, 1e12, 1e13)
+SERIES_DS = (2, 3, 5, 12)
+SERIES_LAMS = (300.0, 1500.0, 5000.0)
+SERIES_SHARES = (4.0, 16.0, 64.0)
+DEEP_LOG = -30.0
+WALK_DS = (2, 11)
+WALK_LAMS = (2e4, 3e4)
+WALK_LOGS = (-400.0, -650.0)
+SMALLEST_NORMAL = 2.2250738585072014e-308
 STIRLERR_NS = [k / 2 for k in range(1, 31)] + [15.5, 40.0, 1e6]
 
 
@@ -105,14 +122,39 @@ def stirlerr(n):
     return mp.loggamma(n + 1) - (n + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
 
 
+def series_rows():
+    """(d, lam, x, cdf) of the rows in the Bessel series' domain."""
+    for d in SERIES_DS:
+        for lam in SERIES_LAMS:
+            for share in SERIES_SHARES:
+                x = lam / share
+                if log_chernoff(d, lam, x) >= DEEP_LOG:
+                    continue
+                value = float(cdf(d, lam, x))
+                if value >= SMALLEST_NORMAL:
+                    yield d, lam, x, value
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--new-only", action="store_true", help="only the rows at the e^-31 cut")
+    ap.add_argument("--new-only", action="store_true",
+                    help="only the series-domain and deep walk rows")
     args = ap.parse_args()
-    rows = [] if args.new_only else list(EARLIER)
-    rows += [(d, lam, cut_x(d, lam)) for lam in CUT_LAMS for d in CUT_DS]
-    for d, lam, x in rows:
-        print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+    if not args.new_only:
+        rows = list(EARLIER) + [(d, lam, cut_x(d, lam)) for lam in CUT_LAMS for d in CUT_DS]
+        for d, lam, x in rows:
+            print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+    print("# the Bessel series' domain")
+    for d, lam, x, value in series_rows():
+        print(f"    ({d}, {lam!r}, {x!r}, {value!r}),")
+    print("# deep walk rows")
+    for d in WALK_DS:
+        for lam in WALK_LAMS:
+            for level in WALK_LOGS:
+                x = cut_x(d, lam, level)
+                print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+    if args.new_only:
+        return
     print("# LOWER_TAIL_ONE_DOF")
     for lam in ONE_DOF_LAMS:
         x = (math.sqrt(lam) - math.sqrt(200.0)) ** 2

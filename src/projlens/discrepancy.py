@@ -257,17 +257,25 @@ class BallNet:
 def build_ball_net(d: int, c: float, eps_o: float) -> BallNet:
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if not (c > 0 and eps_o > 0):
-        raise ValueError("need c > 0 and eps_o > 0")
+    for name, value in (("c", c), ("eps_o", eps_o)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"need a finite {name} > 0, got {value}")
     half = c * math.sqrt(d)
     step = 2.0 * eps_o
-    k = int(math.floor(half / step * (1.0 + _NET_GRID_RTOL)))
+    r_step = eps_o * math.sqrt(d)
+    r_top = (2.0 * c + 2.0 * eps_o) * math.sqrt(d)
+    steps, rungs = half / step, r_top / r_step
+    # a count that overflows has no int, and is over any limit
+    if not (math.isfinite(steps) and math.isfinite(rungs)):
+        raise SizeLimitError(
+            f"ball net would take {steps} grid steps a half-axis and {rungs} radii, "
+            f"over the {NET_SIZE_LIMIT} ball limit; use the mc estimator instead"
+        )
+    k = int(math.floor(steps * (1.0 + _NET_GRID_RTOL)))
     # the axis is step * (-k, ..., k), with -half and half added where its
     # last entry misses half
     hits_half = abs(step * k - half) <= _NET_GRID_RTOL * half
-    r_step = eps_o * math.sqrt(d)
-    r_top = (2.0 * c + 2.0 * eps_o) * math.sqrt(d)
-    n_radii = int(math.ceil(r_top / r_step * (1.0 - _NET_GRID_RTOL)))
+    n_radii = int(math.ceil(rungs * (1.0 - _NET_GRID_RTOL)))
     # counted in Python ints, and refused before any array is allocated
     m = (2 * k + (1 if hits_half else 3)) ** d * n_radii
     if m > NET_SIZE_LIMIT:

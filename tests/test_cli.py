@@ -176,6 +176,18 @@ def test_discrepancy_net_guard_for_high_d(tmp_path):
     assert "mc" in res.stderr
 
 
+def test_discrepancy_net_refuses_an_overflowing_grid(tmp_path):
+    # at eps = 1e-300 the net's grid step underflows against its half-width:
+    # one error line, not an OverflowError traceback
+    src = tmp_path / "simplex.csv"
+    run_cli("gen", "--shape", "simplex", "--dim", 20, "--out", src)
+    res = run_cli("discrepancy", "--in", src, "--d", 1, "--estimator", "net", "--eps", 1e-300)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error: ball net would take inf grid steps")
+
+
 def test_bounds_cli_matches_library(tmp_path):
     res = run_cli("bounds", "--eps", 0.25, "--d", 2, "--dim", 1000,
                   "--sigma-eps", 1.0, "--lambda-max", 2.0, "--lambda-avg", 1.5)

@@ -139,6 +139,21 @@ def test_build_ball_net_size_limit():
         build_ball_net(1, -1.0, 0.1)
 
 
+def test_build_ball_net_refuses_non_finite_arguments_and_counts():
+    # a non-finite c or eps_o is named; a grid whose half-width or top radius
+    # over its step overflows is over the size limit, refused before any int
+    # conversion (these raised OverflowError and "cannot convert float NaN")
+    with pytest.raises(ValueError, match="finite c > 0, got inf"):
+        build_ball_net(1, math.inf, 0.1)
+    with pytest.raises(ValueError, match="finite eps_o > 0, got inf"):
+        build_ball_net(1, 1.0, math.inf)
+    with pytest.raises(ValueError, match="finite c > 0, got nan"):
+        build_ball_net(1, math.nan, 0.1)
+    for c, eps_o in ((1.0, 1e-320), (1e308, 1.0)):
+        with pytest.raises(SizeLimitError, match="inf .* over the 10000000 ball limit"):
+            build_ball_net(1, c, eps_o)
+
+
 def test_net_params_from_bounds():
     assert net_params_from_bounds(0.5, 1.0, 1.0, 2).c == pytest.approx(1.0, rel=1e-15)
     params = net_params_from_bounds(0.25, 1.0, 1.0, 1)

@@ -297,3 +297,23 @@ def test_output_digest_script_is_stable(tmp_path):
         line.split()[:2] for line in lines
     ]
     assert set(seeded.stdout.splitlines()).isdisjoint(lines)
+
+
+def test_route_counts_script(tmp_path):
+    # one line per (workload, kernel route); the mc-scalemix deep pairs take
+    # the Bessel series and none reaches the deep-tail walk
+    script = Path(__file__).resolve().parent.parent / "scripts" / "route_counts.py"
+    res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         cwd=tmp_path, timeout=600)
+    assert res.returncode == 0, res.stderr
+    counts = {}
+    for line in res.stdout.splitlines():
+        workload, route, pairs = line.split()
+        counts[workload, route] = int(pairs)
+    routes = ["tiny", "erf-sum", "normal-tail", "bessel-series", "deep-tail-sum", "chndtr",
+              "convolution"]
+    workloads = ["radial-manyatom", "decay-oneatom", "mc-scalemix", "cli"]
+    assert list(counts) == [(w, r) for w in workloads for r in routes]
+    assert counts["mc-scalemix", "bessel-series"] > 0
+    assert counts["mc-scalemix", "deep-tail-sum"] == 0
+    assert sum(counts.values()) > counts["mc-scalemix", "bessel-series"]

@@ -86,7 +86,7 @@ def test_monotone_in_x_and_bounded(d, lam, x, dx):
 
 # the Poisson mixture summed in 40-digit arithmetic (mpmath); most sit far
 # below 1e-12, where any absolute tolerance would pass whatever comes back.
-# The last twelve lie at the integer x nearest to where the Chernoff bound is
+# The next twelve lie at the integer x nearest to where the Chernoff bound is
 # e^-31, just inside the deep-tail route, at lam = 1e4, 1e5 and 1e6; the
 # deep-tail sum spans some 12 sqrt(lam / 2) terms there. All of them come
 # from scripts/tail_reference.py (50 digits), which reproduces the first nine
@@ -112,6 +112,47 @@ LOWER_TAIL = [
     (2, 1000000.0, 984316.0, 1.7243584220533698e-15),
     (5, 1000000.0, 984319.0, 1.7244407095775998e-15),
     (12, 1000000.0, 984326.0, 1.7246327281064945e-15),
+    # the Bessel series' domain (d >= 2, x = lam / 4, lam / 16, lam / 64, deep,
+    # the CDF a normal double), from the same Poisson-mixture sum
+    (2, 300.0, 75.0, 1.654739105823813e-18),
+    (2, 300.0, 18.75, 3.443494050077162e-39),
+    (2, 300.0, 4.6875, 1.2181953053482857e-52),
+    (2, 1500.0, 375.0, 5.3890106737779415e-84),
+    (2, 1500.0, 93.75, 4.1461840760877755e-186),
+    (2, 1500.0, 23.4375, 1.7292757951959921e-252),
+    (2, 5000.0, 1250.0, 2.933528555260776e-274),
+    (3, 300.0, 75.0, 1.1614876452224403e-18),
+    (3, 300.0, 18.75, 1.7037073464087193e-39),
+    (3, 300.0, 4.6875, 4.227159796523161e-53),
+    (3, 1500.0, 375.0, 3.804915606584135e-84),
+    (3, 1500.0, 93.75, 2.068722163529177e-186),
+    (3, 1500.0, 23.4375, 6.091214789112967e-253),
+    (3, 5000.0, 1250.0, 2.073385753778313e-274),
+    (5, 300.0, 75.0, 5.694199291313897e-19),
+    (5, 300.0, 18.75, 4.128953501904789e-40),
+    (5, 300.0, 4.6875, 4.9883154188508977e-54),
+    (5, 1500.0, 375.0, 1.8948880276688964e-84),
+    (5, 1500.0, 93.75, 5.139733770654283e-187),
+    (5, 1500.0, 23.4375, 7.527364735162937e-254),
+    (5, 5000.0, 1250.0, 1.0354508279747028e-274),
+    (12, 300.0, 75.0, 4.459611788674787e-20),
+    (12, 300.0, 18.75, 2.6049197461027873e-42),
+    (12, 300.0, 4.6875, 2.2801845353911736e-57),
+    (12, 1500.0, 375.0, 1.6344331840290875e-85),
+    (12, 1500.0, 93.75, 3.847281136381654e-189),
+    (12, 1500.0, 23.4375, 4.788056693272877e-257),
+    (12, 5000.0, 1250.0, 9.085211870508202e-276),
+    # the walk at lam = 2e4, 3e4, Chernoff bound e^-400 and e^-650, where its
+    # peak term lies far from both Poisson means (one was 2.1e-12 off while
+    # the Loader form took its series only within 0.1 of the mean)
+    (2, 20000.0, 12802.0, 3.0989642776663522e-176),
+    (2, 20000.0, 11104.0, 6.915960015565946e-285),
+    (2, 30000.0, 21004.0, 2.9880643277913513e-176),
+    (2, 30000.0, 18812.0, 6.538762422168109e-285),
+    (11, 20000.0, 12810.0, 3.085997921237106e-176),
+    (11, 20000.0, 11111.0, 6.092208396924087e-285),
+    (11, 30000.0, 21012.0, 2.9240411095318296e-176),
+    (11, 30000.0, 18820.0, 6.546731594494679e-285),
 ]
 
 # d = 1 at lam = 1e8 to 1e13, x = (sqrt lam - sqrt 200)^2, where the Chernoff
@@ -227,6 +268,72 @@ def test_one_dof_pairs_take_the_closed_form_at_any_depth(pairs):
     assert not deep.called
     assert took < 0.01
     assert got.tobytes() == special.normal_tail_difference(lam, x.copy()).tobytes()
+
+
+# (log10 lam, log10 x / lam): pairs with x well below lam, the Bessel series'
+# domain where they are deep
+_series_pairs = st.tuples(st.floats(math.log10(30.0), 4.0), st.floats(-4.0, math.log10(0.3)))
+
+
+@given(d=st.integers(2, 12), pairs=st.lists(_series_pairs, min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_bessel_series_agrees_with_the_deep_tail_sum(d, pairs):
+    # wherever both apply (a deep pair the series takes, its CDF a normal
+    # double) the series and the walk agree within 1e-12 relative
+    lam = np.array([10.0**e for e, _ in pairs])
+    x = lam * np.array([10.0**r for _, r in pairs])
+    b = d / 2.0
+    bound = special._log_chernoff(b, lam / 2.0, x / 2.0)
+    deep = (bound < special._DEEP_TAIL_LOG) & (bound > special._LOG_SUBNORMAL)
+    assume(deep.any())
+    lam, x = lam[deep], x[deep]
+    took, got = special._bessel_series(b, lam, x)
+    want = special._lower_tail_sum(b, lam[took] / 2.0, x[took] / 2.0)
+    normal = want >= np.finfo(float).tiny
+    assume(normal.any())
+    assert np.allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+
+
+@given(q=st.floats(1e-300, 0.6))
+@settings(max_examples=200, deadline=None)
+@example(q=0.535)
+@example(q=0.5)
+@example(q=1e-17)
+def test_series_term_count_is_the_least_under_its_bound(q):
+    # n terms leave out at most q^n / (1 - q) of the sum: n is the least count
+    # that puts this under _TAIL_REL (compared in logs, to 1e-9)
+    n = float(special._series_terms(np.array([q]))[0])
+    cut = math.log(special._TAIL_REL)
+
+    def log_bound(k):
+        return k * math.log(q) - math.log1p(-q)
+
+    assert n >= 1.0
+    assert log_bound(n) <= cut + 1e-9
+    assert n == 1.0 or log_bound(n - 1.0) > cut - 1e-9
+
+
+def test_deep_pairs_like_the_mc_benchmark_take_the_series():
+    # d = 2 pairs shaped like the mc-scalemix benchmark's deep ones (lam
+    # 1000-1500, x 80-125, Chernoff bound e^-260 to e^-390) never reach the
+    # walk, whose cost grows like sqrt(lam): 4000 of them return in under
+    # 15 ms (the walk took 47 ms, the series some 9 ms)
+    gen = np.random.default_rng(3)
+    lam, x = gen.uniform(1000.0, 1500.0, 4000), gen.uniform(80.0, 125.0, 4000)
+    with mock.patch.object(special, "_lower_tail_sum", side_effect=AssertionError) as walk:
+        took = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            got = chisq_cdf_pairs(2, lam, x)
+            took = min(took, time.perf_counter() - start)
+        # and so does every frozen row at d >= 2 with x <= lam / 4, deep or not
+        series_rows = [row for row in LOWER_TAIL if row[0] >= 2 and row[2] <= row[1] / 4.0]
+        assert len(series_rows) == 33
+        for d, lam_r, x_r, want in series_rows:
+            assert _pairs_at(d, lam_r, x_r) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert not walk.called
+    assert took < 0.015
+    assert np.all(got > 0.0)
 
 
 def test_nan_argument_is_refused():
@@ -442,13 +549,22 @@ def _route_pairs(lam, x_of):
     return st.tuples(lam, st.floats(0.0, 1.0)).map(lambda p: (p[0], x_of(*p)))
 
 
-# (lam, x) pairs aimed at each route of the kernel: tiny x, the d = 1 erf sum
+def _series_x(lam, u):
+    # a Chernoff exponent near -c, c from max(31, lam / 8) to min(600, 0.49 lam),
+    # puts x / lam between 1e-4 and 1/4
+    lo, hi = max(31.0, lam / 8.0), min(600.0, 0.49 * lam)
+    return (math.sqrt(lam) - math.sqrt(2.0 * (lo + (hi - lo) * u))) ** 2
+
+
+# (lam, x) pairs aimed at each route of the kernel: tiny x, the Bessel series
+# at d >= 2 (deep, x / lam from 1e-4 to 1/4), the d = 1 erf sum
 # (x > lam), the deep lower tail (Chernoff exponent from -31 to -400, which
 # at d = 1 the normal-tail difference takes; and, at every d, x lam from
 # 0.0125 to 0.2375 with lam from 200 up), the d = 1 normal-tail difference
 # (x just below lam), and chndtr at d >= 2 and at d = 1 (x <= lam, x lam < 1/4)
 _ROUTE_PAIRS = [
     _route_pairs(st.floats(1e-6, 1e6), lambda lam, u: (0.05 + 0.9 * u) * 4e-90 / lam),
+    _route_pairs(st.floats(64.0, 4800.0), _series_x),
     _route_pairs(st.floats(1e-6, 1e4), lambda lam, u: lam * (1.0 + 10.0**(6.0 * u - 5.0))),
     _route_pairs(st.floats(1e3, 1e5),
                  lambda lam, u: (math.sqrt(lam) - math.sqrt(2.0 * (31.0 + 369.0 * u))) ** 2),
