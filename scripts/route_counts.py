@@ -51,14 +51,14 @@ ROUTES = ("tiny", "erf-sum", "normal-tail", "bessel-series", "deep-tail-sum", "c
 
 def _install(special) -> dict:
     """Wrap each route function of ``special``; return the counts they add
-    to, one per route the checkout has, while ``counts["on"]`` is true."""
+    to, one per route the checkout has."""
     import numpy as np
 
-    counts = {"on": False}
+    counts = {}
     nested = []
 
     def add(route, pairs):
-        if counts["on"] and not nested:
+        if not nested:
             counts[route] += int(pairs)
 
     def wrap(attr, route, pairs_of):
@@ -112,10 +112,9 @@ def main() -> int:
     for name, (setup, op, _) in worker.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as work:
             state = setup(args.seed, work)
-            counts.update((route, 0) for route in ROUTES if route in counts)
-            counts["on"] = True
+            # only the operation's pairs count
+            counts.update(dict.fromkeys(counts, 0))
             op(state, args.seed, work)
-            counts["on"] = False
             os.chdir(ROOT)
         for route in ROUTES:
             if route in counts:

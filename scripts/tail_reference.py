@@ -36,6 +36,7 @@ Usage:
 
 import argparse
 import math
+import sys
 
 import mpmath as mp
 
@@ -64,7 +65,6 @@ DEEP_LOG = -30.0
 WALK_DS = (2, 11)
 WALK_LAMS = (2e4, 3e4)
 WALK_LOGS = (-400.0, -650.0)
-SMALLEST_NORMAL = 2.2250738585072014e-308
 STIRLERR_NS = [k / 2 for k in range(1, 31)] + [15.5, 40.0, 1e6]
 
 
@@ -131,7 +131,7 @@ def series_rows():
                 if log_chernoff(d, lam, x) >= DEEP_LOG:
                     continue
                 value = float(cdf(d, lam, x))
-                if value >= SMALLEST_NORMAL:
+                if value >= sys.float_info.min:
                     yield d, lam, x, value
 
 

@@ -38,8 +38,7 @@ evaluation, because ``chndtr`` loses them there:
   2.1e-13 relative, and within 2.0e-13 on 800 more (d 2-12, lam 30-1e5, see
   ``_bessel_series``). Its Poisson weights take Loader's saddle-point form
   (``_poisson_pmf``); a plain xlogy/gammaln weight reaches 1.2e-12 on the
-  first 150 points, and Loader's series for bd0 taken only within 0.1 of the
-  mean reached 1.6e-12 on the 800.
+  first 150 points.
 - Tiny x, where (lam/2)(x/2) < 1e-90. Every term past j = 0 is then below
   1e-90 of the first, so the CDF is e^(-lam/2) P(d/2, x/2) (``chdtr`` at
   lam = 0). ``chndtr`` returns 0 on three such points in the tests (lam >= 208).
