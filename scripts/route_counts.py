@@ -11,12 +11,14 @@ route functions in ``projlens.special``'s globals, which the kernel calls:
 - ``tiny``: pairs in the mask of ``_is_tiny``;
 - ``erf-sum``, ``normal-tail``: pairs passed to ``_erf_sum`` and
   ``normal_tail_difference`` (d = 1);
-- ``bessel-series``: pairs ``_bessel_series`` takes (absent from a checkout
-  without it);
-- ``deep-tail-sum``: pairs passed to ``_lower_tail_sum``;
+- ``bessel-series``: pairs ``_bessel_series`` takes;
+- ``short-sum``: deep pairs passed to ``_short_sum``, the ones outside
+  ``_is_tiny``'s mask (the tiny pairs are counted as ``tiny``);
 - ``chndtr``: pairs passed to ``scipy.special.chndtr``;
-- ``convolution``: calls of ``_convolved``, one pair each; the d = 1 forms
-  its quadrature nodes call are not counted.
+- ``convolution``: calls of ``_convolved`` for pairs where ``chndtr``
+  returns nan, one pair each;
+- ``deep-convolution``: calls of ``_convolved`` for deep pairs that neither
+  the short sum nor the series takes, one pair each.
 
 Pairs at x <= 0, and deep pairs whose Chernoff bound is below the smallest
 subnormal, take no route function and are not counted. Nothing is written
@@ -45,21 +47,19 @@ class _Counting:
         return self._module.chndtr(x, d, lam)
 
 
-ROUTES = ("tiny", "erf-sum", "normal-tail", "bessel-series", "deep-tail-sum", "chndtr",
-          "convolution")
+ROUTES = ("tiny", "erf-sum", "normal-tail", "bessel-series", "short-sum", "chndtr",
+          "convolution", "deep-convolution")
 
 
 def _install(special) -> dict:
     """Wrap each route function of ``special``; return the counts they add
-    to, one per route the checkout has."""
+    to, one per route."""
     import numpy as np
 
     counts = {}
-    nested = []
 
     def add(route, pairs):
-        if not nested:
-            counts[route] += int(pairs)
+        counts[route] += int(pairs)
 
     def wrap(attr, route, pairs_of):
         inner = getattr(special, attr)
@@ -72,25 +72,22 @@ def _install(special) -> dict:
         counts[route] = 0
         setattr(special, attr, counted)
 
+    # unwrapped, so that the short-sum count below adds nothing to ``tiny``
+    is_tiny = special._is_tiny
     wrap("_is_tiny", "tiny", lambda a, out: np.count_nonzero(out))
     wrap("_erf_sum", "erf-sum", lambda a, out: np.size(a[1]))
     wrap("normal_tail_difference", "normal-tail", lambda a, out: np.size(a[1]))
-    if hasattr(special, "_bessel_series"):
-        wrap("_bessel_series", "bessel-series", lambda a, out: np.count_nonzero(out[0]))
-    wrap("_lower_tail_sum", "deep-tail-sum", lambda a, out: np.size(a[2]))
+    wrap("_bessel_series", "bessel-series", lambda a, out: np.count_nonzero(out[0]))
+    wrap("_short_sum", "short-sum", lambda a, out: np.count_nonzero(~is_tiny(a[1], a[2])))
     counts["chndtr"] = 0
     special.sps = _Counting(special.sps, lambda x: add("chndtr", np.size(x)))
     convolved = special._convolved
 
-    def counted_convolved(*args):
-        add("convolution", 1)
-        nested.append(1)
-        try:
-            return convolved(*args)
-        finally:
-            nested.pop()
+    def counted_convolved(d, lam, x, deep=False):
+        add("deep-convolution" if deep else "convolution", 1)
+        return convolved(d, lam, x, deep)
 
-    counts["convolution"] = 0
+    counts["convolution"] = counts["deep-convolution"] = 0
     special._convolved = counted_convolved
     return counts
 
@@ -117,8 +114,7 @@ def main() -> int:
             op(state, args.seed, work)
             os.chdir(ROOT)
         for route in ROUTES:
-            if route in counts:
-                print(f"{name} {route} {counts[route]}")
+            print(f"{name} {route} {counts[route]}")
     return 0
 
 

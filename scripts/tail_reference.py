@@ -1,5 +1,4 @@
-"""Regenerate the frozen deep lower-tail rows and Stirling remainders of
-tests/test_special.py.
+"""Regenerate the frozen deep lower-tail rows of tests/test_special.py.
 
 Each row (d, lam, x, cdf) holds the noncentral chi-square CDF
 P(chi2_d(lam) <= x) = sum_j Poisson(j; lam/2) P(d/2 + j, x/2), summed in
@@ -20,18 +19,25 @@ The rows in the Bessel series' domain are (d, lam, x, cdf) at d = 2, 3, 5, 12,
 lam = 300, 1500, 5000 and x = lam / 4, lam / 16, lam / 64, kept where the
 Chernoff bound is below e^-30 (the deep tail) and the CDF is a normal double;
 they come from the same Poisson-mixture sum, which does not use the series.
-The deep walk rows, at d = 2, 11 and lam = 2e4, 3e4, lie at the integer x
-nearest to where the Chernoff bound is e^-400 and e^-650: there the walk's
-peak term is far from both Poisson means, past the series range of its
-Loader form.
+The rows at d = 2, 11 and lam = 2e4, 3e4 lie at the integer x nearest to
+where the Chernoff bound is e^-400 and e^-650, where the peak term is far
+from both Poisson means.
 
-The Stirling remainder stirlerr(n) = lgamma(n + 1) - (n + 1/2) log n + n -
-log(2 pi) / 2 is printed to 30 digits at the n of the STIRLERR rows, the
-table's half-integers up to 15 and three points of the series past it.
+The quadrature rows, at d = 2, 3, 5, 12 and lam = 300, 3000, 3e4, lie at the
+integer x nearest to where the Chernoff bound is e^-40, e^-300 and e^-650,
+kept where x > 0 and the CDF is a normal double. Two more, at d = 5, 12 and
+lam = 1e4, lie where it is e^-703: the CDF, near 7e-308, is close to the
+smallest normal double, and the quadrature's node tails go below 1e-308,
+where ``scipy.special.ndtr`` returns 0 and ``log_ndtr`` does not.
+
+The short-sum rows are deep pairs with (lam/2)(x/2) / (d/2 + 1) <= 1/4:
+lam = x = 2.72276075968322e-33 at d = 1 and 7 (q = sqrt(x / lam) = 1), and
+d = 1 at lam = 200 and 2000 with lam x = 0.2 and 1e-40; at lam = 2000 the
+CDF, near e^-1000, rounds to 0.
 
 Usage:
-  python scripts/tail_reference.py            # every LOWER_TAIL row, the d = 1 rows, STIRLERR
-  python scripts/tail_reference.py --new-only # the series-domain and deep walk rows
+  python scripts/tail_reference.py            # every LOWER_TAIL row, then the d = 1 rows
+  python scripts/tail_reference.py --new-only # the quadrature and short-sum rows
 """
 
 import argparse
@@ -65,8 +71,16 @@ DEEP_LOG = -30.0
 WALK_DS = (2, 11)
 WALK_LAMS = (2e4, 3e4)
 WALK_LOGS = (-400.0, -650.0)
-STIRLERR_NS = [k / 2 for k in range(1, 31)] + [15.5, 40.0, 1e6]
-
+QUAD_DS = (2, 3, 5, 12)
+QUAD_LAMS = (300.0, 3000.0, 3e4)
+QUAD_LOGS = (-40.0, -300.0, -650.0)
+NEAR_NORMAL_DS = (5, 12)
+NEAR_NORMAL_LAM = 1e4
+NEAR_NORMAL_LOG = -703.0
+SHORT_PAIRS = [(1, 2.72276075968322e-33, 2.72276075968322e-33),
+               (7, 2.72276075968322e-33, 2.72276075968322e-33)]
+SHORT_ONE_DOF_LAMS = (200.0, 2000.0)
+SHORT_LAM_X = (0.2, 1e-40)
 
 def log_chernoff(d, lam, x):
     """Chernoff bound on log P(chi2_d(lam) <= x), for x below the mean."""
@@ -115,13 +129,6 @@ def one_dof_cdf(lam, x):
         return mp.ncdf(s_x - s_l) - mp.ncdf(-s_x - s_l)
 
 
-def stirlerr(n):
-    """The Stirling-series remainder at 50 digits; at n = 1e6 its value, near
-    8e-8, is left with some 35 of them after the cancellation."""
-    n = mp.mpf(n)
-    return mp.loggamma(n + 1) - (n + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
-
-
 def series_rows():
     """(d, lam, x, cdf) of the rows in the Bessel series' domain."""
     for d in SERIES_DS:
@@ -135,34 +142,61 @@ def series_rows():
                     yield d, lam, x, value
 
 
+def quadrature_rows():
+    """(d, lam, x, cdf) of the quadrature rows."""
+    for d in QUAD_DS:
+        for lam in QUAD_LAMS:
+            for level in QUAD_LOGS:
+                x = cut_x(d, lam, level)
+                # (2, 3e4, e^-650) is among the rows far from both means
+                if x <= 0.0 or (d in WALK_DS and lam in WALK_LAMS and level in WALK_LOGS):
+                    continue
+                value = float(cdf(d, lam, x))
+                if value >= sys.float_info.min:
+                    yield d, lam, x, value
+    for d in NEAR_NORMAL_DS:
+        x = cut_x(d, NEAR_NORMAL_LAM, NEAR_NORMAL_LOG)
+        yield d, NEAR_NORMAL_LAM, x, float(cdf(d, NEAR_NORMAL_LAM, x))
+
+
+def short_rows():
+    """(d, lam, x, cdf) of the short-sum rows."""
+    pairs = SHORT_PAIRS + [(1, lam, lam_x / lam)
+                           for lam in SHORT_ONE_DOF_LAMS for lam_x in SHORT_LAM_X]
+    for d, lam, x in pairs:
+        yield d, lam, x, float(cdf(d, lam, x))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--new-only", action="store_true",
-                    help="only the series-domain and deep walk rows")
+                    help="only the quadrature and short-sum rows")
     args = ap.parse_args()
     if not args.new_only:
         rows = list(EARLIER) + [(d, lam, cut_x(d, lam)) for lam in CUT_LAMS for d in CUT_DS]
         for d, lam, x in rows:
             print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
-    print("# the Bessel series' domain")
-    for d, lam, x, value in series_rows():
+        print("# the Bessel series' domain")
+        for d, lam, x, value in series_rows():
+            print(f"    ({d}, {lam!r}, {x!r}, {value!r}),")
+        print("# far from both Poisson means")
+        for d in WALK_DS:
+            for lam in WALK_LAMS:
+                for level in WALK_LOGS:
+                    x = cut_x(d, lam, level)
+                    print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+    print("# the quadrature")
+    for d, lam, x, value in quadrature_rows():
         print(f"    ({d}, {lam!r}, {x!r}, {value!r}),")
-    print("# deep walk rows")
-    for d in WALK_DS:
-        for lam in WALK_LAMS:
-            for level in WALK_LOGS:
-                x = cut_x(d, lam, level)
-                print(f"    ({d}, {lam!r}, {x!r}, {float(cdf(d, lam, x))!r}),")
+    print("# the short sum")
+    for d, lam, x, value in short_rows():
+        print(f"    ({d}, {lam!r}, {x!r}, {value!r}),")
     if args.new_only:
         return
     print("# LOWER_TAIL_ONE_DOF")
     for lam in ONE_DOF_LAMS:
         x = (math.sqrt(lam) - math.sqrt(200.0)) ** 2
         print(f"    (1, {lam!r}, {x!r}, {float(one_dof_cdf(lam, x))!r}),")
-    print("# STIRLERR")
-    for n in STIRLERR_NS:
-        print(f"    ({n!r}, {mp.nstr(stirlerr(n), 30, min_fixed=-4)}),")
-
 
 if __name__ == "__main__":
     main()

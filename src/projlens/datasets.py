@@ -250,10 +250,21 @@ def gen_cube(D: int, n: int | None = None, seed: int = 0) -> PointCloud:
     return PointCloud(data)
 
 
+def _check_law(law: RadialLaw) -> None:
+    """Refuse a law parameter that is not finite and > 0, by name."""
+    if isinstance(law, AtomLaw):
+        params = {"sigma": law.sigma}
+    elif isinstance(law, PowerExponentialLaw):
+        params = {"beta": law.beta, "scale": law.scale}
+    else:
+        return
+    for name, value in params.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} of the radial law must be finite and > 0, got {value}")
+
+
 def _radii_for_law(law: RadialLaw, D: int, n: int, gen: np.random.Generator) -> np.ndarray:
     if isinstance(law, AtomLaw):
-        if law.sigma <= 0:
-            raise ValueError("atom law needs sigma > 0")
         return np.full(n, law.sigma * np.sqrt(D))
     if isinstance(law, EmpiricalLaw):
         u = rng.uniforms(gen, n)
@@ -262,8 +273,6 @@ def _radii_for_law(law: RadialLaw, D: int, n: int, gen: np.random.Generator) -> 
         idx = np.minimum(idx, law.profile.sigmas.size - 1)
         return law.profile.sigmas[idx] * np.sqrt(D)
     if isinstance(law, PowerExponentialLaw):
-        if law.beta <= 0 or law.scale <= 0:
-            raise ValueError("power exponential law needs beta > 0 and scale > 0")
         # With y = (r/scale)^(2 beta) / 2 the radial density becomes a
         # Gamma(D / (2 beta)) law in y, so one gamma quantile per draw suffices.
         u = rng.uniforms(gen, n)
@@ -284,6 +293,7 @@ def gen_spherical(D: int, n: int, law: RadialLaw, seed: int = 0) -> PointCloud:
     """
     if D < 1 or n < 1:
         raise ValueError("need D >= 1 and n >= 1")
+    _check_law(law)
     _check_memory(n, D, "the spherical cloud")
     gen = rng.stream(seed, 0x53504845)
     dirs = rng.normals(gen, (n, D))

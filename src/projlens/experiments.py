@@ -367,6 +367,10 @@ def run_twocluster(
     the eccentricity.
     """
     _check_threads(threads)
+    if n < 4:
+        # each cluster is scored on its own, and a one-row cluster centres to
+        # the origin, where no ball box fits
+        raise ValueError(f"twocluster needs n >= 4, two rows a cluster, got {n}")
     seeds = _seed_list(seed, n_seeds)
 
     def one(cloud: PointCloud, pmap, ball_seed: int):

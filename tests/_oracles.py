@@ -174,67 +174,3 @@ def dip_lp_reference(vals, counts):
         assert res.success, res.message
         best = min(best, float(res.fun))
     return best
-
-
-def lower_tail_walk(b, half, x):
-    """sum_j Poisson(j; half) P(b + j, x) over Poisson(J; half) Poisson(b + J; x),
-    J the peak of u_j = Poisson(j; half) Poisson(b + j; x), for x below the
-    mean b + half: the deep lower-tail sum in units of its peak term.
-
-    With w_j = Poisson(j; half), t_j = Poisson(b + j; x) and u_j = w_j t_j,
-    the terms s_j = w_j P(b + j, x) obey
-    s_(j-1) = (j / half) s_j + u_(j-1), a recurrence of positive terms that is
-    stable walking downward. The walk starts where the terms above it are
-    below e^-42 of u_J, seeds s there from the series of P(b + top, x), runs
-    on values rescaled to u_top = 1 and stops once the geometric bound
-    s_j q / (1 - q), q = s_(j-1) / s_j, on the unvisited terms is below 1e-17
-    of the sum: one numpy step per term, about sqrt(half x) steps in all.
-    """
-    half = np.asarray(half, dtype=float)
-    x = np.asarray(x, dtype=float)
-    hx = half * x
-    peak = np.floor(0.5 * (np.sqrt(b * b + 4.0 * hx) - b))
-    top = peak.copy()
-    log_u = np.zeros_like(x)
-    while True:
-        rho = hx / ((top + 1.0) * (b + top + 1.0))
-        climbing = log_u + np.log(rho / (1.0 - rho)) > -42.0
-        if not np.any(climbing):
-            break
-        log_u = np.where(climbing, log_u + np.log(rho), log_u)
-        top = np.where(climbing, top + 1.0, top)
-    # P(a, x) / Poisson(a; x) = sum_n x^n / ((a+1)...(a+n)), every ratio below 1
-    a_top = b + top
-    term = np.ones_like(x)
-    s = np.ones_like(x)
-    for n in range(1, 10**6):
-        term = term * x / (a_top + n)
-        s += term
-        r = x / (a_top + n + 1.0)
-        if np.all(term * np.maximum(1.0, r / (1.0 - r)) <= 1e-16 * s):
-            break
-    acc = s.copy()
-    u = np.ones_like(x)
-    u_peak = np.ones_like(x)
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    j, hx_l, half_l, peak_l = top, hx, half, peak
-    while live.size:
-        for _ in range(8):
-            u = u * (j * (b + j) / hx_l)
-            prev, s = s, (j / half_l) * s + u
-            acc = acc + s
-            j = j - 1.0
-            at_peak = j == peak_l
-            if np.any(at_peak):
-                u_peak[live[at_peak]] = u[at_peak]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = s / prev
-            done = (j <= 0.0) | ((j < peak_l) & (s * q < 1e-17 * (1.0 - q) * acc))
-        if np.any(done):
-            out[live[done]] = acc[done]
-            keep = ~done
-            live, j, u, s, acc, hx_l, half_l, peak_l = (
-                v[keep] for v in (live, j, u, s, acc, hx_l, half_l, peak_l)
-            )
-    return out / u_peak

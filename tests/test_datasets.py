@@ -159,6 +159,25 @@ def test_spherical_power_exp_matches_quadrature():
     assert ks <= 0.03
 
 
+@pytest.mark.parametrize(
+    "law, name",
+    [
+        (AtomLaw(math.nan), "sigma"),
+        (AtomLaw(0.0), "sigma"),
+        (PowerExponentialLaw(math.inf), "beta"),
+        (PowerExponentialLaw(0.5, scale=math.nan), "scale"),
+        (PowerExponentialLaw(0.5, scale=-1.0), "scale"),
+    ],
+)
+def test_spherical_refuses_a_bad_law_parameter_by_name(law, name, monkeypatch):
+    # refused before any point is drawn, not as a non-finite cloud after
+    from projlens import datasets
+
+    monkeypatch.setattr(datasets.rng, "normals", None)
+    with pytest.raises(ValueError, match=f"{name} of the radial law must be finite and > 0"):
+        gen_spherical(8, 10, law)
+
+
 def test_two_cluster_labels_partition():
     cloud = gen_two_cluster(10, 101, 4.0, seed=2)
     assert sorted(np.bincount(cloud.labels)) == [50, 51]

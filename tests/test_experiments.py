@@ -191,6 +191,14 @@ def test_twocluster_small_run():
     assert 0.0 < result.summary["value_ratio"] < 1.0
 
 
+def test_twocluster_refuses_fewer_than_four_rows():
+    # n = 3 leaves a one-row cluster, which centres to the origin
+    with pytest.raises(ValueError, match="twocluster needs n >= 4"):
+        run_twocluster(n=3, n_seeds=1)
+    result = run_twocluster(D=10, n=4, n_balls=10, n_seeds=1, threads=1)
+    assert len(result.tables["values"][1]) == 1
+
+
 def test_decay_parameter_validation():
     with pytest.raises(ValueError):
         run_decay(estimator="grid")
@@ -301,7 +309,7 @@ def test_output_digest_script_is_stable(tmp_path):
 
 def test_route_counts_script(tmp_path):
     # one line per (workload, kernel route); the mc-scalemix deep pairs take
-    # the Bessel series and none reaches the deep-tail walk
+    # the Bessel series and none reaches the quadrature
     script = Path(__file__).resolve().parent.parent / "scripts" / "route_counts.py"
     res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                          cwd=tmp_path, timeout=600)
@@ -310,10 +318,10 @@ def test_route_counts_script(tmp_path):
     for line in res.stdout.splitlines():
         workload, route, pairs = line.split()
         counts[workload, route] = int(pairs)
-    routes = ["tiny", "erf-sum", "normal-tail", "bessel-series", "deep-tail-sum", "chndtr",
-              "convolution"]
+    routes = ["tiny", "erf-sum", "normal-tail", "bessel-series", "short-sum", "chndtr",
+              "convolution", "deep-convolution"]
     workloads = ["radial-manyatom", "decay-oneatom", "mc-scalemix", "cli"]
     assert list(counts) == [(w, r) for w in workloads for r in routes]
     assert counts["mc-scalemix", "bessel-series"] > 0
-    assert counts["mc-scalemix", "deep-tail-sum"] == 0
+    assert counts["mc-scalemix", "deep-convolution"] == 0
     assert sum(counts.values()) > counts["mc-scalemix", "bessel-series"]

@@ -401,16 +401,18 @@ def test_interval_bracket_is_the_kernel_bit_for_bit_on_its_closed_form_route():
 
 
 def test_interval_bracket_routes_and_edge_balls():
-    # the property above reaches the kernel's tiny-x and deep-tail routes
-    # (at d = 1 the deep-tail sum takes only lam x < 1/4, here 0.1);
-    # balls the closed form cannot take (B(0, 0), r = inf, lam = inf) get the
-    # kernel's value or its refusal
+    # the property above reaches the kernel's short sum, on a tiny-x pair
+    # and on a deep one (at d = 1 the closed forms leave it only lam x <
+    # 1/4, here 0.1); balls the closed form cannot take (B(0, 0), r = inf,
+    # lam = inf) get the kernel's value or its refusal
     model = _model([0.0, 1.0], [0.25, 0.75], 1)
     c2 = np.array([4.0, 1e3, 0.0, 0.0, 9.0])
     r2 = np.array([1e-300, 1e-4, 0.0, np.inf, 4.0])
-    with mock.patch.object(special, "_lower_tail_sum", wraps=special._lower_tail_sum) as deep:
+    with mock.patch.object(special, "_short_sum", wraps=special._short_sum) as short:
         want = gaussmix.mixture_masses_sq(model, c2, r2)
-    assert deep.called
+    summed = [(half, xh) for _, half, xh in (call.args for call in short.call_args_list)]
+    assert any(special._is_tiny(half, xh).any() for half, xh in summed)
+    assert any((~special._is_tiny(half, xh)).any() for half, xh in summed)
     got = gaussmix.interval_masses(model, c2, r2)
     assert np.all(np.abs(got - want) <= 1e-15)
     assert got[2] == 0.25 and got[3] == 1.0

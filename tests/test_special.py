@@ -26,7 +26,7 @@ from projlens import (
 from projlens import special
 from projlens.special import _convolved
 
-from _oracles import chisq1_central_cdf, chisq2_central_cdf, lower_tail_walk, normal_cdf
+from _oracles import chisq1_central_cdf, chisq2_central_cdf, normal_cdf
 
 # frozen from a 1e7-sample shifted-Gaussian count oracle (seed 20260814)
 MC_D2_L9_X1 = 0.0108592
@@ -87,9 +87,9 @@ def test_monotone_in_x_and_bounded(d, lam, x, dx):
 # the Poisson mixture summed in 40-digit arithmetic (mpmath); most sit far
 # below 1e-12, where any absolute tolerance would pass whatever comes back.
 # The next twelve lie at the integer x nearest to where the Chernoff bound is
-# e^-31, just inside the deep-tail route, at lam = 1e4, 1e5 and 1e6; the
-# deep-tail sum spans some 12 sqrt(lam / 2) terms there. All of them come
-# from scripts/tail_reference.py (50 digits), which reproduces the first nine
+# e^-31, just inside the deep tail, at lam = 1e4, 1e5 and 1e6; the Poisson
+# sum spans some 12 sqrt(lam / 2) terms there. All of them come from
+# scripts/tail_reference.py (50 digits), which reproduces the first nine
 LOWER_TAIL = [
     (1, 216.0, 0.125, 5.8596634810867307e-47),
     (1, 208.0, 0.0625, 6.8029911337044511e-46),
@@ -142,9 +142,8 @@ LOWER_TAIL = [
     (12, 1500.0, 93.75, 3.847281136381654e-189),
     (12, 1500.0, 23.4375, 4.788056693272877e-257),
     (12, 5000.0, 1250.0, 9.085211870508202e-276),
-    # the walk at lam = 2e4, 3e4, Chernoff bound e^-400 and e^-650, where its
-    # peak term lies far from both Poisson means (one was 2.1e-12 off while
-    # the Loader form took its series only within 0.1 of the mean)
+    # lam = 2e4, 3e4, Chernoff bound e^-400 and e^-650, where the Poisson
+    # sum's peak term lies far from both Poisson means
     (2, 20000.0, 12802.0, 3.0989642776663522e-176),
     (2, 20000.0, 11104.0, 6.915960015565946e-285),
     (2, 30000.0, 21004.0, 2.9880643277913513e-176),
@@ -153,6 +152,51 @@ LOWER_TAIL = [
     (11, 20000.0, 11111.0, 6.092208396924087e-285),
     (11, 30000.0, 21012.0, 2.9240411095318296e-176),
     (11, 30000.0, 18820.0, 6.546731594494679e-285),
+    # d = 2, 3, 5, 12 at lam = 300, 3000 and 3e4, at the integer x nearest
+    # to where the Chernoff bound is e^-40, e^-300 and e^-650 (where x > 0
+    # and the CDF is a normal double); the pairs the series declines take
+    # the quadrature
+    (2, 300.0, 72.0, 3.476079159757611e-19),
+    (2, 3000.0, 2102.0, 2.042392567652722e-19),
+    (2, 3000.0, 918.0, 1.0453929446437983e-132),
+    (2, 3000.0, 351.0, 6.381224703965714e-285),
+    (2, 30000.0, 26984.0, 1.9463611750646793e-19),
+    (2, 30000.0, 22117.0, 9.361227587236114e-133),
+    (3, 300.0, 72.0, 2.415077421482675e-19),
+    (3, 3000.0, 2103.0, 2.0598550355618915e-19),
+    (3, 3000.0, 919.0, 1.1646839323091846e-132),
+    (3, 3000.0, 352.0, 9.766804267332373e-285),
+    (3, 30000.0, 26985.0, 1.9477693431131106e-19),
+    (3, 30000.0, 22117.0, 8.673063007944104e-133),
+    (3, 30000.0, 18813.0, 6.635922392436453e-285),
+    (5, 300.0, 74.0, 3.3740477050642515e-19),
+    (5, 3000.0, 2105.0, 2.0952052895463003e-19),
+    (5, 3000.0, 920.0, 9.645066964556037e-133),
+    (5, 3000.0, 353.0, 8.73552948803866e-285),
+    (5, 30000.0, 26986.0, 1.8975880424888066e-19),
+    (5, 30000.0, 22119.0, 8.780008742386768e-133),
+    (5, 30000.0, 18814.0, 5.9922705650997745e-285),
+    (12, 300.0, 78.0, 2.2079906679876788e-19),
+    (12, 3000.0, 2111.0, 2.0149782061683982e-19),
+    (12, 3000.0, 926.0, 1.3693211991743479e-132),
+    (12, 3000.0, 357.0, 9.529751868523951e-285),
+    (12, 30000.0, 26993.0, 1.9072237339442e-19),
+    (12, 30000.0, 22126.0, 9.16473494327679e-133),
+    (12, 30000.0, 18821.0, 6.643989706783413e-285),
+    # the quadrature at Chernoff bound e^-703, the CDF near the smallest
+    # normal double, where its nodes need tails that ``ndtr`` rounds to 0
+    (5, 10000.0, 3911.0, 7.480296864303619e-308),
+    (12, 10000.0, 3916.0, 6.468534126630496e-308),
+    # deep pairs the short sum takes, (lam/2)(x/2) / (d/2 + 1) <= 1/4: at
+    # lam = x (q = 1) the series declines them, and without the short sum
+    # the d = 1 pair had no route and quad warned on the d = 7 one; then
+    # d = 1 with lam x = 0.2 and 1e-40, which at lam = 2000 rounds to 0
+    (1, 2.72276075968322e-33, 2.72276075968322e-33, 4.1633680296616995e-17),
+    (7, 2.72276075968322e-33, 2.72276075968322e-33, 8.003573778696343e-117),
+    (1, 200.0, 0.001, 9.700604082446537e-46),
+    (1, 200.0, 4.999999999999999e-43, 2.0988281156772082e-65),
+    (1, 2000.0, 0.0001, 0.0),
+    (1, 2000.0, 4.999999999999999e-44, 0.0),
 ]
 
 # d = 1 at lam = 1e8 to 1e13, x = (sqrt lam - sqrt 200)^2, where the Chernoff
@@ -187,61 +231,6 @@ def test_lower_tail_relative_accuracy(cdf, d, lam, x, want):
     assert cdf(d, lam, x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def _deep_tail_reference(b, half, x):
-    # the one-term-at-a-time walk, times the same Loader-form peak term
-    peak = np.floor(0.5 * (np.sqrt(b * b + 4.0 * half * x) - b))
-    u_j = special._poisson_pmf(peak, half) * special._poisson_pmf(b + peak, x)
-    return np.clip(u_j * lower_tail_walk(b, half, x), 0.0, 1.0)
-
-
-# (log10 lam, c): x = (sqrt(lam) - sqrt(2 c))^2 puts the Chernoff exponent
-# near -c, from just past the e^-30 cut to where the CDF nears underflow
-_deep_pairs = st.tuples(st.floats(math.log10(3.0), 6.0), st.floats(30.0, 720.0))
-
-
-@given(d=st.integers(1, 12), pairs=st.lists(_deep_pairs, min_size=1, max_size=6))
-@settings(max_examples=40, deadline=None)
-def test_deep_tail_sum_matches_the_termwise_walk(d, pairs):
-    lam = np.array([10.0**e for e, _ in pairs])
-    x = np.array([(math.sqrt(10.0**e) - math.sqrt(2.0 * c)) ** 2 for e, c in pairs])
-    b, half, xh = d / 2.0, lam / 2.0, x / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = special._log_chernoff(b, half, xh)
-    deep = (xh < b + half) & (bound < special._DEEP_TAIL_LOG) & (bound > special._LOG_SUBNORMAL)
-    deep &= ~special._is_tiny(half, xh)
-    assume(deep.any())
-    b, half, xh = b, half[deep], xh[deep]
-    got = special._lower_tail_sum(b, half, xh)
-    want = _deep_tail_reference(b, half, xh)
-    # relative agreement wherever the value is a normal double
-    normal = want > 1e-300
-    assert np.allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
-    assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
-    # a pair's value does not depend on the batch it is summed in
-    alone = np.array([special._lower_tail_sum(b, half[i : i + 1], xh[i : i + 1])[0]
-                      for i in range(half.size)])
-    assert np.array_equal(alone, got)
-
-
-def test_deep_tail_sum_takes_few_block_passes():
-    # at lam = 1e6 the sum spans some 9000 terms, which the walk covers in a
-    # few blocks a side (3 each here), not one Python step a term
-    passes = []
-    walk = special._walk_out
-
-    def counting(block, carry, first):
-        def counted(*args):
-            passes.append(1)
-            return block(*args)
-
-        return walk(counted, carry, first)
-
-    with mock.patch.object(special, "_walk_out", counting):
-        got = chisq_cdf(2, 1e6, 984316.0)
-    assert got == pytest.approx(1.7243584220533698e-15, rel=1e-12, abs=0.0)
-    assert 2 <= len(passes) <= 40
-
-
 # (log10 lam, c) as above, lam up to 1e13: d = 1 pairs in the deep tail
 _deep_one_dof = st.tuples(st.floats(0.0, 13.0), st.floats(30.0, 690.0))
 
@@ -252,22 +241,42 @@ _deep_one_dof = st.tuples(st.floats(0.0, 13.0), st.floats(30.0, 690.0))
 def test_one_dof_pairs_take_the_closed_form_at_any_depth(pairs):
     # every d = 1 pair at x <= lam with sqrt(x lam) >= 1/2 takes the
     # normal-tail difference, however deep in the tail: none reaches the
-    # deep-tail sum, whose cost grows like sqrt(lam), so a batch that holds
-    # a pair at lam = 1e13 returns in well under 10 ms (it took 1.8 s there)
+    # short sum or the quadrature, so a batch that holds a pair at lam =
+    # 1e13 returns in well under 10 ms
     lam = np.array([10.0**e for e, _ in pairs])
     x = np.array([(math.sqrt(10.0**e) - math.sqrt(2.0 * c)) ** 2 for e, c in pairs])
     keep = (x <= lam) & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
     assume(keep.any())
     lam, x = lam[keep], x[keep]
-    with mock.patch.object(special, "_lower_tail_sum", side_effect=AssertionError) as deep:
+    with mock.patch.object(special, "_short_sum", side_effect=AssertionError) as short, \
+            mock.patch.object(special, "_convolved", side_effect=AssertionError) as conv:
         took = math.inf
         for _ in range(3):
             start = time.perf_counter()
             got = chisq_cdf_pairs(1, lam, x)
             took = min(took, time.perf_counter() - start)
-    assert not deep.called
+    assert not short.called and not conv.called
     assert took < 0.01
     assert got.tobytes() == special.normal_tail_difference(lam, x.copy()).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("lam", [1e12, 1e13])
+def test_deep_pairs_at_huge_noncentrality_take_bounded_time(d, lam):
+    # x = (sqrt lam - sqrt 200)^2, Chernoff bound about e^-100, q near 1:
+    # the series declines the pair and the quadrature takes it in about a
+    # millisecond whatever lam (a sum over the Poisson terms spans some
+    # sqrt(lam) of them); adding chi2_(d-1) to chi2_1 can only lower the CDF
+    x = (math.sqrt(lam) - math.sqrt(200.0)) ** 2
+    with mock.patch.object(special, "_convolved", wraps=special._convolved) as conv:
+        took = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            got = chisq_cdf(d, lam, x)
+            took = min(took, time.perf_counter() - start)
+    assert conv.called
+    assert took < 0.05
+    assert 0.0 < got < chisq_cdf(1, lam, x)
 
 
 # (log10 lam, log10 x / lam): pairs with x well below lam, the Bessel series'
@@ -279,7 +288,8 @@ _series_pairs = st.tuples(st.floats(math.log10(30.0), 4.0), st.floats(-4.0, math
 @settings(max_examples=60, deadline=None)
 def test_bessel_series_agrees_with_the_deep_tail_sum(d, pairs):
     # wherever both apply (a deep pair the series takes, its CDF a normal
-    # double) the series and the walk agree within 1e-12 relative
+    # double) the series and the quadrature, two independent algorithms,
+    # agree within 1e-12 relative
     lam = np.array([10.0**e for e, _ in pairs])
     x = lam * np.array([10.0**r for _, r in pairs])
     b = d / 2.0
@@ -288,7 +298,7 @@ def test_bessel_series_agrees_with_the_deep_tail_sum(d, pairs):
     assume(deep.any())
     lam, x = lam[deep], x[deep]
     took, got = special._bessel_series(b, lam, x)
-    want = special._lower_tail_sum(b, lam[took] / 2.0, x[took] / 2.0)
+    want = np.array([_convolved(d, l, x_i, deep=True) for l, x_i in zip(lam[took], x[took])])
     normal = want >= np.finfo(float).tiny
     assume(normal.any())
     assert np.allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
@@ -316,11 +326,11 @@ def test_series_term_count_is_the_least_under_its_bound(q):
 def test_deep_pairs_like_the_mc_benchmark_take_the_series():
     # d = 2 pairs shaped like the mc-scalemix benchmark's deep ones (lam
     # 1000-1500, x 80-125, Chernoff bound e^-260 to e^-390) never reach the
-    # walk, whose cost grows like sqrt(lam): 4000 of them return in under
-    # 15 ms (the walk took 47 ms, the series some 9 ms)
+    # quadrature, some 1 ms a pair: 4000 of them return in under 15 ms (the
+    # series takes some 9 ms)
     gen = np.random.default_rng(3)
     lam, x = gen.uniform(1000.0, 1500.0, 4000), gen.uniform(80.0, 125.0, 4000)
-    with mock.patch.object(special, "_lower_tail_sum", side_effect=AssertionError) as walk:
+    with mock.patch.object(special, "_convolved", side_effect=AssertionError) as conv:
         took = math.inf
         for _ in range(3):
             start = time.perf_counter()
@@ -328,10 +338,10 @@ def test_deep_pairs_like_the_mc_benchmark_take_the_series():
             took = min(took, time.perf_counter() - start)
         # and so does every frozen row at d >= 2 with x <= lam / 4, deep or not
         series_rows = [row for row in LOWER_TAIL if row[0] >= 2 and row[2] <= row[1] / 4.0]
-        assert len(series_rows) == 33
+        assert len(series_rows) == 40
         for d, lam_r, x_r, want in series_rows:
             assert _pairs_at(d, lam_r, x_r) == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert not walk.called
+    assert not conv.called
     assert took < 0.015
     assert np.all(got > 0.0)
 
@@ -350,55 +360,6 @@ def test_zero_dim_noncentrality_is_a_scalar():
     for lam in (np.array([1.0]), [1.0, 2.0], np.ones((2, 2))):
         with pytest.raises(ValueError, match="noncentrality must be a scalar"):
             chisq_cdf(2, lam, 0.5)
-
-
-# (n, stirlerr(n)) to 30 digits from mpmath (scripts/tail_reference.py): the
-# table's half-integers up to 15, then three points of the series past it
-STIRLERR = [
-    (0.5, 0.153426409720027345291383939271),
-    (1.0, 0.0810614667953272582196702635944),
-    (1.5, 0.0548141210519176538961387023484),
-    (2.0, 0.0413406959554092940938220814071),
-    (2.5, 0.0331628735199362874851105097411),
-    (3.0, 0.0276779256849983391487892927462),
-    (3.5, 0.0237461636562974959713302790901),
-    (4.0, 0.0207906721037650931115227717678),
-    (4.5, 0.0184884505326731852307793574826),
-    (5.0, 0.0166446911898211921631948653736),
-    (5.5, 0.0151349732219173788735138368822),
-    (6.0, 0.0138761288230707479987457270238),
-    (6.5, 0.0128104652429202269242506552811),
-    (7.0, 0.0118967099458917700950557241177),
-    (7.5, 0.0111045597582069173266307551973),
-    (8.0, 0.0104112652619720964974785671325),
-    (8.5, 0.00979941612615880329839037340201),
-    (9.0, 0.0092554621827127329177286366331),
-    (9.5, 0.00876870013413938546295504726946),
-    (10.0, 0.00833056343336287125646931865963),
-    (10.5, 0.00793411456431402054724956249094),
-    (11.0, 0.0075736754879518407949720242116),
-    (11.5, 0.00724455430132038317954619660155),
-    (12.0, 0.00694284010720952986566415266348),
-    (12.5, 0.0066652470327076824423561808954),
-    (13.0, 0.00640899418800420706843963108298),
-    (13.5, 0.00617171226303945764753460479777),
-    (14.0, 0.00595137011275884773562441604647),
-    (14.5, 0.00574621651301011568202610247709),
-    (15.0, 0.00555473355196280137103868995979),
-    (15.5, 0.0053755990329268344936417197704),
-    (40.0, 0.00208328993830242174874912489231),
-    (1000000.0, 8.33333333333305555555555563492e-8),
-]
-
-
-def test_stirlerr_matches_mpmath():
-    n, want = np.array(STIRLERR).T
-    got = special._stirlerr(n)
-    table = n <= 15.0
-    # the table holds the values rounded to double
-    assert np.array_equal(got[table], want[table])
-    # the series stops before 691 / (360360 n^11), 2.9e-14 of it at n = 15.5
-    assert np.allclose(got[~table], want[~table], rtol=4e-14, atol=0.0)
 
 
 # 40-digit mpmath values where earlier hand-built code branched: lam from
@@ -452,8 +413,8 @@ def test_nonincreasing_in_noncentrality(d, lam, dlam, x):
 # the d = 1 CDF, in pairs on both sides of each cut between its routes:
 # x = lam (erf sum above), sqrt(x lam) = 1/2 (normal-tail difference at or
 # above, however deep, chndtr below), and the tiny-x cut (lam/2)(x/2) =
-# 1e-90, past which the deep-tail sum takes the pair (its peak term is
-# j = 0 there). The pair near x = 41.57 at lam = 200 straddles the e^-30
+# 1e-90, past which the short sum takes the pair with more terms than its
+# first. The pair near x = 41.57 at lam = 200 straddles the e^-30
 # Chernoff cut, which once split the routes there and now does not: both
 # take the normal-tail difference. The last value is subnormal
 ONE_DOF_ROUTES = [
@@ -601,6 +562,37 @@ def test_pair_value_does_not_depend_on_its_batch(d, data):
     assert chisq_cdf_pairs(d, lam[::-1], x[::-1])[::-1].tobytes() == got.tobytes()
 
 
+# (log10 lam, log10 x / lam): d = 1 pairs at x <= lam, lam from 1e-40 to 1e13
+_one_dof_below = st.tuples(st.floats(-40.0, 13.0), st.floats(-80.0, 0.0)).map(
+    lambda p: (10.0 ** p[0], 10.0 ** (p[0] + p[1]))
+)
+
+
+@given(pairs=st.lists(st.one_of(*_ROUTE_PAIRS, _one_dof_below), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+@example(pairs=[(2.72276075968322e-33, 2.72276075968322e-33)])
+def test_one_dof_pairs_reach_neither_the_series_nor_the_quadrature(pairs):
+    # a deep d = 1 pair the closed forms leave has lam x < 1/4, so rho =
+    # (lam/2)(x/2) / (3/2) < 1/24 and the short sum takes it
+    lam, x = np.array(pairs).T
+    with mock.patch.object(special, "_bessel_series", side_effect=AssertionError) as series, \
+            mock.patch.object(special, "_convolved", side_effect=AssertionError) as conv:
+        got = chisq_cdf_pairs(1, lam, x)
+    assert not series.called and not conv.called
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+@given(d=st.integers(1, 12), lam=st.floats(0.0, 1e6), u=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_tiny_pairs_take_the_first_term_alone(d, lam, u):
+    # where (lam/2)(x/2) < 1e-90 the short sum stops after its first term,
+    # e^(-lam/2) P(d/2, x/2), and gives exactly its bits
+    x = u * 4e-90 / max(lam, 1e-300)
+    assume(special._is_tiny(np.array([lam / 2.0]), np.array([x / 2.0]))[0])
+    want = np.exp(-lam / 2.0) * sps.gammainc(d / 2.0, x / 2.0)
+    assert _pairs_at(d, lam, x) == want
+
+
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_pairs_extreme_pairs_raise_no_warning(d):
     # the tiny-x test must form neither 0 * inf (lam = 0, x = inf) nor an
@@ -654,6 +646,18 @@ def test_reg_lower_gamma_against_scipy():
 def test_gamma_ppf_round_trip(a, u):
     x = gamma_ppf(a, u)
     assert reg_lower_gamma(a, x) == pytest.approx(u, abs=1e-9)
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, math.nan, math.inf])
+def test_gamma_ppf_refuses_a_bad_shape(a):
+    with pytest.raises(ValueError, match="shape parameter must be finite and positive"):
+        gamma_ppf(a, 0.5)
+
+
+@pytest.mark.parametrize("u", [math.nan, -0.1, 1.0, [0.5, math.nan]])
+def test_gamma_ppf_refuses_a_bad_probability(u):
+    with pytest.raises(ValueError, match="probabilities in"):
+        gamma_ppf(2.0, u)
 
 
 def test_norm_cdf_matches_erf():
