@@ -5,8 +5,9 @@
 Runs each workload's operation of ``perfbench/worker.py`` once at seed N
 (default 1), on the package in this checkout's ``src``, as
 ``output_digest.py`` does, and prints one ``workload route pairs`` line per
-route of ``special.chisq_cdf_pairs``. The counts come from wrapping the
-route functions in ``projlens.special``'s globals, which the kernel calls:
+route of ``special.chisq_cdf_pairs``, and one for the d = 1 closed form. The
+kernel counts come from wrapping the route functions in
+``projlens.special``'s globals, which the kernel calls:
 
 - ``tiny``: pairs in the mask of ``_is_tiny``;
 - ``erf-sum``, ``normal-tail``: pairs passed to ``_erf_sum`` and
@@ -19,6 +20,11 @@ route functions in ``projlens.special``'s globals, which the kernel calls:
   returns nan, one pair each;
 - ``deep-convolution``: calls of ``_convolved`` for deep pairs that neither
   the short sum nor the series takes, one pair each.
+
+``closed-form`` counts the (live atom, ball) pairs that ``discrepancy``
+passes to ``gaussmix.interval_masses``, the first pass of d = 1 estimates;
+it wraps that name in ``projlens.discrepancy``. These pairs take no kernel
+route, but for the few balls whose closed form is not finite.
 
 Pairs at x <= 0, and deep pairs whose Chernoff bound is below the smallest
 subnormal, take no route function and are not counted. Nothing is written
@@ -48,12 +54,12 @@ class _Counting:
 
 
 ROUTES = ("tiny", "erf-sum", "normal-tail", "bessel-series", "short-sum", "chndtr",
-          "convolution", "deep-convolution")
+          "convolution", "deep-convolution", "closed-form")
 
 
-def _install(special) -> dict:
-    """Wrap each route function of ``special``; return the counts they add
-    to, one per route."""
+def _install(special, discrepancy) -> dict:
+    """Wrap each route function of ``special``, and the closed form that
+    ``discrepancy`` calls; return the counts they add to, one per route."""
     import numpy as np
 
     counts = {}
@@ -89,6 +95,14 @@ def _install(special) -> dict:
 
     counts["convolution"] = counts["deep-convolution"] = 0
     special._convolved = counted_convolved
+    closed_form = discrepancy.interval_masses
+
+    def counted_closed_form(model, c2, r2):
+        add("closed-form", np.broadcast(c2, r2).size * np.count_nonzero(model.profile.sigmas))
+        return closed_form(model, c2, r2)
+
+    counts["closed-form"] = 0
+    discrepancy.interval_masses = counted_closed_form
     return counts
 
 
@@ -103,9 +117,9 @@ def main() -> int:
     sys.dont_write_bytecode = True
     import worker
 
-    from projlens import special
+    from projlens import discrepancy, special
 
-    counts = _install(special)
+    counts = _install(special, discrepancy)
     for name, (setup, op, _) in worker.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as work:
             state = setup(args.seed, work)

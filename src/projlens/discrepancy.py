@@ -29,16 +29,20 @@ keep its masses, so each ball is scored once. Every ball that ties the
 exact maximum is kept, so the reports are the same, bit for bit, as when
 every ball is scored exactly.
 
-In front of its first pass, the exact kernel included, the radial sweep
-puts one more stage, which needs no table: an endpoint bracket. Each of its
-rows holds one center's balls in nondecreasing radius, and at a fixed
-center a ball's mass, its point masses' included, never falls as its radius
-grows. So the first pass scores only every _BRACKET_STRIDE-th ball of a row
-and its last, and every ball between two of these lies between their
-masses, less and plus tau and _COARSE_SLACK. The first pass also scores
-the balls this bracket cannot rule out; the others get a nan mass, which no
-candidate test passes. The net keeps its table of distinct squared norms and mc its
-one radius per center, so both go straight to the first pass.
+In front of its first pass, the exact kernel and one-atom profiles
+included, the radial sweep puts one more stage, which needs no table: an
+endpoint bracket. Each of its rows holds one center's balls in
+nondecreasing radius, and at a fixed center the masses of the closed and
+the open ball, point masses included, never fall as the radius grows. So
+the first pass scores only every _BRACKET_STRIDE-th ball of a row and its
+last, the endpoints. Each run of balls between two endpoints gets one
+bound: the larger of the left end's score from above and the right end's
+score from below, plus the rise of the empirical mass across the run, tau
+and _COARSE_SLACK. Only the runs whose bound reaches the floor are opened;
+there each ball gets the same bound on its own, and the first pass scores
+the balls whose bound reaches the floor. The net keeps its table of
+distinct squared norms and mc its one radius per center, so both go
+straight to the first pass.
 
 Closed balls throughout; boundary ties count as inside.
 """
@@ -74,8 +78,10 @@ WORK_LIMIT = 10 ** 9
 _NET_GRID_RTOL = 1e-9
 # most (live atom, ball) pairs in one kernel call of the radial sweep, which
 # scores a block of centers per call, always at least one. Blocks pay off the
-# kernel's per-call cost; the decay-oneatom bench worker peaked at 63 MB with
-# this budget, 72 MB with 2^16 pairs and 62 MB with one center a call
+# per-call cost of the kernel and of the run bounds: the decay-oneatom bench
+# operation took 22 ms at 62.1 MB peak with this budget, 17-20 ms at 64.0 MB
+# with 2^16 pairs, and 220-250 ms at 62.4 MB with one center a call (2-core
+# machine, seed 1, two runs each)
 _SWEEP_BLOCK_PAIRS = 2**14
 # an estimate scores its balls by a first pass (``_best_score``) only where
 # its exact scoring needs at least _PRUNE_MIN_PAIRS (live atom, ball) pairs,
@@ -92,11 +98,11 @@ _PRUNE_ATOM_SHARE = 4
 # candidates ``_best_score`` holds before it rescores them
 _PRUNE_MAX_KEPT = 2**16
 # in a block of sorted rows the first pass, the exact kernel included,
-# scores every _BRACKET_STRIDE-th ball of a row and its last, and brackets
-# the balls between by those (``_bracket_fill``). The bracket costs about as
-# much a ball as the d = 1 closed form on one atom, so at d = 1 it needs
-# _BRACKET_MIN_ATOMS live first-pass atoms. Radial sweeps, median of 21 to
-# 60 interleaved runs, one core of a 2-core machine:
+# scores every _BRACKET_STRIDE-th ball of a row and its last, and bounds each
+# run of balls between by those, and the balls of a run only where the run's
+# bound reaches the floor (``_bracket_runs``). Radial sweeps, median of 21 to
+# 60 interleaved runs, one core of a 2-core machine, with a bound for every
+# ball:
 # - in front of the exact kernel, on normal points: d = 2, 400 points, one
 #   atom 46 -> 21 ms; 50 points, 50 atoms 33 -> 12 ms; d = 3, 200 points,
 #   3 atoms 43 -> 13 ms; but d = 2, 30 points, one atom 0.66 -> 0.74 ms;
@@ -105,9 +111,15 @@ _PRUNE_MAX_KEPT = 2**16
 #   0.48 at 4, 0.48 at 8; d = 1, n = 400 normal points: 1.15 times as long
 #   on one atom; on 2 atoms 0.87 at stride 2, 0.67 at 4, 0.57 at 8; on 8
 #   atoms 0.79, 0.56 and 0.53. Past 4 the brackets widen and little more is
-#   saved
+#   saved.
+# A bound a run costs far less than one a ball, so the bracket pays on
+# one atom at d = 1 too. Against a bound a ball, or on one atom the plain
+# first pass (median of 100 runs interleaved in one process, same machine):
+# d = 1, n = 400 normal points, 0.71 times as long on one atom, 0.77 on 2
+# atoms and 0.79 on 8; the one-atom D = 400 simplex 0.73; the
+# radial-manyatom input at seeds 1 to 3, where the same balls are scored,
+# 0.99, 0.97 and 0.98
 _BRACKET_STRIDE = 4
-_BRACKET_MIN_ATOMS = 2
 
 # stream tags ("MCBL", "LIPS" in ASCII)
 _TAG_MC = 0x4D43424C
@@ -421,7 +433,7 @@ def _pruning(model: MixtureModel, n_balls: int):
 
 
 def _best_score(
-    model: MixtureModel, n_balls: int, blocks, score, sorted_rows: bool = False
+    model: MixtureModel, n_balls: int, blocks, score, run_rise: float | None = None
 ) -> tuple:
     """(value, center, s, pred, aux) of the first candidate with the largest
     score over n_balls balls; the scoring core of every estimator.
@@ -439,22 +451,19 @@ def _best_score(
     maximum is at least the running floor: the best first-pass score less
     tau, or the best exact score found so far. So a candidate whose
     first-pass score plus tau is below the floor cannot reach it, and only
-    the others are kept. With ``sorted_rows`` (each row of a block one
-    center's balls in nondecreasing r^2) the first pass, but for one atom at
-    d = 1, scores only the endpoint balls of each row, and the others only
-    where their bracket does not rule them out (``_bracket_fill``). The kept
-    candidates are rescored in candidate order, whenever more than
-    _PRUNE_MAX_KEPT are held and at the end: by the exact kernel on the same c2, r2 bits, or, where
-    the first pass is the kernel itself, from its masses, so that every ball
-    is scored once. Every candidate that ties the exact maximum is kept, so
-    the winner is the one that scoring every ball exactly finds.
+    the others are kept. With ``run_rise`` (the radial sweep's blocks: each
+    row one center's balls in nondecreasing r^2, two candidates a ball) the
+    first pass scores only the endpoint balls of each row, and the others
+    only where both their run's bound and their own reach the floor
+    (``_bracket_runs``). The kept candidates are rescored in candidate
+    order, whenever more than _PRUNE_MAX_KEPT are held and at the end: by
+    the exact kernel on the same c2, r2 bits, or, where the first pass is
+    the kernel itself, from its masses, so that every ball is scored once.
+    Every candidate that ties the exact maximum is kept, so the winner is
+    the one that scoring every ball exactly finds.
     """
     first, masses, tau = _pruning(model, n_balls)
     exact = first is model and masses is mixture_masses_sq
-    # the endpoint bracket costs about what the d = 1 closed form costs on one atom
-    bracket = sorted_rows and (
-        model.d > 1 or np.count_nonzero(first.profile.sigmas) >= _BRACKET_MIN_ATOMS
-    )
     best, floor, kept, n_kept = None, -math.inf, [], 0
 
     def rescore():
@@ -482,28 +491,34 @@ def _best_score(
     def at_endpoints(m, c2, r2):
         return masses(m, c2, r2[:, _endpoints(r2.shape[1])])
 
+    bracket = run_rise is not None
     for centers, c2, r2, pred, aux in blocks(first, at_endpoints if bracket else masses):
         if bracket:
-            pred, floor = _bracket_fill(
-                functools.partial(masses, first), tau, score, c2, r2, pred, aux, floor
+            floor, row, side, col, first_s, pred = _bracket_runs(
+                functools.partial(masses, first), tau, score, run_rise, c2, r2, pred, aux, floor
             )
-        scores = score(pred, *aux)
-        # the balls a bracket rules out have nan masses, and their scores fail every test
-        floor = max(floor, float(np.nanmax(scores)) - tau)
-        row, side, col = np.unravel_index(np.flatnonzero(scores + tau >= floor), scores.shape)
-        shape = (len(scores), scores.shape[2])
-
-        def at(a):
-            # broadcast_to costs some 5 us a call, a fifth of an exact mc estimate's core
-            return (a if a.shape == shape else np.broadcast_to(a, shape))[row, col]
-
-        kept.append((scores[row, side, col], centers[row], side, *map(at, (c2, r2, pred, *aux))))
+        else:
+            scores = score(pred, *aux)
+            floor = max(floor, float(scores.max()) - tau)
+            row, side, col = np.unravel_index(np.flatnonzero(scores + tau >= floor), scores.shape)
+            first_s, pred = scores[row, side, col], _gather(pred, row, col)
+        at = functools.partial(_gather, row=row, col=col)
+        kept.append((first_s, centers[row], side, at(c2), at(r2), pred, *map(at, aux)))
         n_kept += row.size
         if n_kept > _PRUNE_MAX_KEPT:
             rescore()
             n_kept = 0
     rescore()
     return best
+
+
+def _gather(a, row, col):
+    """a, an array that broadcasts to a block's (rows, cols), at the balls
+    (row, col). An axis of length one is read at 0, which costs less than
+    ``np.broadcast_to`` (some 5 us a call, a fifth of an exact mc estimate's
+    core)."""
+    rows, cols = (1,) * (2 - a.ndim) + a.shape
+    return a.reshape(rows, cols)[row if rows > 1 else 0 * row, col if cols > 1 else 0 * col]
 
 
 def _endpoints(cols: int) -> np.ndarray:
@@ -513,39 +528,74 @@ def _endpoints(cols: int) -> np.ndarray:
     return ends if ends[-1] == cols - 1 else np.append(ends, cols - 1)
 
 
-def _bracket_fill(first_pass, tau, score, c2, r2, end_pred, aux, floor):
-    """(pred, floor) for a block whose rows each hold one center's balls in
-    nondecreasing r^2: r2 is (rows, cols), c2 broadcasts to (rows, 1), each
-    aux array is 2-d, and ``end_pred`` holds the first-pass masses at the
-    ``_endpoints`` columns.
+def _run_bounds(end_s, ends, rise, slack):
+    """(rows, runs) bounds on every exact score of the balls strictly
+    between two neighbouring endpoints L < R of a row, from the first-pass
+    scores ``end_s`` (rows, 2, ends) at the ``ends`` columns.
 
-    The floor rises to the endpoints' first-pass scores less tau. At a fixed
-    center a ball's mass never falls as r grows, the point masses' included,
-    so every other ball's exact mass lies between the first-pass masses of
-    its two nearest endpoints, less and plus tau and _COARSE_SLACK (the
-    kernel's rounding on the ball and its two endpoints). Where the larger
-    score over that bracket, at one of its ends, is below the floor, no
-    candidate of the ball can reach it. pred, (rows, cols), holds the
-    first-pass masses at the endpoints and at the other balls, these by
-    ``first_pass(c2, r2)`` in one call, and nan at the balls ruled out.
+    At a fixed center the closed ball's mass (side 0's ``above``) and the
+    open ball's (side 1's ``below``) never fall as the radius grows, point
+    masses included, and each exact mass is within slack (tau and the
+    kernel's rounding) of the first pass's. Side 0 scores e0 - above and
+    side 1 below - e1, where the empirical terms e0 and e1 rise by ``rise``
+    a column. So at a ball j between L and R side 0 scores at most s0(L)
+    plus (j - L) rise, and side 1 at most s1(R) plus (R - j) rise, each
+    plus slack; over the run, at most max(s0(L), s1(R)) plus (R - L - 1)
+    rise and slack.
     """
-    rows, cols = r2.shape
+    inner = np.diff(ends) - 1
+    return np.maximum(end_s[:, 0, :-1], end_s[:, 1, 1:]) + (rise * inner + slack)
+
+
+def _bracket_runs(first_pass, tau, score, rise, c2, r2, end_pred, aux, floor):
+    """(floor, row, side, col, s, pred) for a block of the radial sweep,
+    whose rows each hold one center's balls in nondecreasing r^2: r2 is
+    (rows, cols), c2 broadcasts to (rows, 1), each aux array is 2-d, and
+    ``end_pred`` holds the first-pass masses at the ``_endpoints`` columns.
+    The candidates whose first-pass score ``s`` plus tau reaches the raised
+    floor come back in candidate order, (row, side, col), each with its
+    ball's first-pass mass ``pred``.
+
+    The floor rises to the endpoints' first-pass scores less tau. Each run
+    of balls between two endpoints has one bound (``_run_bounds``), and a
+    run whose bound is below the floor holds no candidate that can reach
+    it. In the other runs each ball has a bound of its own, taken the same
+    way at its own column (the run's bound is the largest of them), and
+    only the balls whose bound reaches the floor take first-pass masses, by
+    ``first_pass(c2, r2)`` in one call. The floor then rises to their scores
+    less tau as well.
+    """
+    cols = r2.shape[1]
     ends = _endpoints(cols)
+    slack = tau + _COARSE_SLACK
     end_s = score(end_pred, *(a if a.shape[1] == 1 else a[:, ends] for a in aux))
     floor = max(floor, float(end_s.max()) - tau)
-    left = np.arange(cols) // _BRACKET_STRIDE
-    lo = end_pred[:, left] - (tau + _COARSE_SLACK)
-    hi = end_pred[:, np.minimum(left + 1, ends.size - 1)] + (tau + _COARSE_SLACK)
-    over = np.maximum(score(lo, *aux), score(hi, *aux)) >= floor
-    # (a reduction over the sides axis, any(axis=1), is some 20 times slower)
-    row, _, col = np.unravel_index(np.flatnonzero(over), over.shape)
-    need = np.zeros((rows, cols), dtype=bool)
-    need[row, col] = True
-    need[:, ends] = False
-    pred = np.full((rows, cols), np.nan)
-    pred[:, ends] = end_pred
-    pred[need] = first_pass(np.broadcast_to(c2, need.shape)[need], r2[need])
-    return pred, floor
+    runs = ends.size - 1
+    # every ball of each open run, in (row, col) order: a run holds at most
+    # _BRACKET_STRIDE - 1 balls, and only the last may hold fewer
+    row, run = np.divmod(np.flatnonzero(_run_bounds(end_s, ends, rise, slack) >= floor), runs or 1)
+    col = (ends[run, None] + np.arange(1, _BRACKET_STRIDE)).ravel()
+    row, run = np.repeat(row, _BRACKET_STRIDE - 1), np.repeat(run, _BRACKET_STRIDE - 1)
+    left, right = ends[run], ends[run + 1]
+    from_left = end_s[row, 0, run] + rise * (col - left)
+    from_right = end_s[row, 1, run + 1] + rise * (right - col)
+    need = (np.maximum(from_left, from_right) + slack >= floor) & (col < right)
+    row, col = row[need], col[need]
+    if row.size:
+        pred = first_pass(_gather(c2, row, col), r2[row, col])
+        in_s = score(pred[:, None], *(_gather(a, row, col)[:, None] for a in aux))
+        floor = max(floor, float(in_s.max()) - tau)
+    e_row, e_side, e_end = np.unravel_index(np.flatnonzero(end_s + tau >= floor), end_s.shape)
+    at_ends = (e_row, e_side, ends[e_end], end_s[e_row, e_side, e_end], end_pred[e_row, e_end])
+    if row.size:
+        ball, side, _ = np.unravel_index(np.flatnonzero(in_s + tau >= floor), in_s.shape)
+        if ball.size:
+            inner = (row[ball], side, col[ball], in_s[ball, side, 0], pred[ball])
+            row, side, col, s, pred = (np.concatenate(pair) for pair in zip(at_ends, inner))
+            order = np.argsort((row * end_s.shape[1] + side) * cols + col)
+            return floor, row[order], side[order], col[order], s[order], pred[order]
+    # the endpoints' candidates alone come in candidate order
+    return (floor, *at_ends)
 
 
 def _abs_gap(pred, emp, radii):
@@ -663,7 +713,8 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
             sq = _sq_dists(pts, block)
             sq.sort(axis=1)
             c2 = np.einsum("...j,...j->...", block[:, None, :], block[:, None, :])
-            r2 = np.sqrt(sq) ** 2
+            r2 = np.sqrt(sq)
+            r2 *= r2
             yield block, c2, r2, masses(m, c2, r2), (hi, lo, c2, r2, sq)
 
     def score(pred, hi, lo, c2, r2, sq):
@@ -685,7 +736,7 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
         return np.stack([hi - above, below - lo], axis=1)
 
     _, center, from_below, _, aux = _best_score(
-        model, cens.shape[0] * n, blocks, score, sorted_rows=True
+        model, cens.shape[0] * n, blocks, score, run_rise=1.0 / n
     )
     sq = aux[-1]
     if not from_below:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import subprocess
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -290,10 +291,27 @@ def run_decay(
         raise ValueError(f"the {shape} has a fixed row count and takes no n")
     seeds = _seed_list(seed, n_seeds)
 
+    def source(D, s):
+        src = _center_in_place(_decay_cloud(shape, D, n, s))
+        return src, profile(src)
+
+    held, lock = {}, threading.Lock()
+
+    def shared(D):
+        # the simplex and the cross-polytope do not depend on the seed, so
+        # the cells of one D, which run one after another, share a source
+        # cloud and its profile. One D is held at a time, and it is dropped
+        # before the next is built: an lru_cache(maxsize=1) holds both for a
+        # moment, and took run_decay()'s peak resident size from 135 to 142 MB
+        with lock:
+            if D not in held:
+                held.clear()
+                held[D] = source(D, 0)
+            return held[D]
+
     def cell(key):
         D, s = key
-        src = _center_in_place(_decay_cloud(shape, D, n, s))
-        prof = profile(src)
+        src, prof = shared(D) if shape in ("simplex", "crosspolytope") else source(D, s)
         proj = apply(sample_projection(d, D, s), src)
         model = MixtureModel(prof, d)
         if estimator == "radial":
@@ -303,9 +321,9 @@ def run_decay(
             proj, model, n_balls, seed=s, center_box=box, max_radius=max_radius
         ).value
 
-    # radial cells run serially for memory: each builds its own D x D source
-    # cloud, and on a 2-core machine a pool of two took run_decay()'s peak
-    # resident size from 135 to 213 MB (for 6.7-7.9 s -> 4.6-5.7 s of wall time)
+    # radial cells run serially: on a 2-core machine a pool of two took
+    # run_decay() from 3.3-3.5 s to 3.6-3.9 s of wall time, and its peak
+    # resident size from 136 to 142-144 MB
     grid, rows, summary = _dim_sweep(grid, seeds, cell, threads if estimator == "mc" else 1)
     params = {
         "shape": shape,

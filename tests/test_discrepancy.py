@@ -535,11 +535,16 @@ _sweep_centers = st.one_of(
 @given(_grid_clouds, _small_models, _sweep_centers, st.sampled_from([1, 5, 64, 2**14]))
 @example(np.zeros((1, 1)), Profile.from_scales([0.0, 1.0]), [0], 1)
 @example(np.array([[0.0], [0.5], [0.5]]), Profile.from_scales([0.0]), None, 5)
+# at center 2 the closed ball of the four points in (0, 4) (column 3, inside
+# a run) and the open ball past them (column 4, an endpoint) both score 0.5
+@example(0.5 * np.array([[1], [2], [3], [4], [-1], [-2], [-3], [-4]]),
+         Profile.from_scales([0.0]), [4], 5)
 @settings(max_examples=80, deadline=None)
 def test_radial_sweep_blocks_equal_per_center_sweep(pts, prof, raw_centers, budget):
     # one kernel call per block of centers gives the report of one call per
-    # center bit for bit, whatever the block size; ties, point masses and
-    # the empty-ball limit at radius 0 included
+    # center bit for bit, whatever the block size; ties (between an
+    # endpoint ball and one inside a run too), point masses and the
+    # empty-ball limit at radius 0 included
     d = pts.shape[1]
     model = MixtureModel(prof, d)
     centers = None
@@ -743,14 +748,13 @@ def test_pruned_scoring_gives_the_unpruned_reports(pts, prof, seed, width, max_k
 @settings(max_examples=80, deadline=None)
 def test_endpoint_brackets_hold_every_exact_mass(pts, prof, width):
     # each center's balls at the sorted data distances, as the radial sweep
-    # forms them: every ball's exact mass lies between the first-pass masses
-    # at its row's nearest endpoints on either side, less and plus tau and
-    # the slack, and the fill step leaves a finite first-pass mass at every
-    # candidate whose exact score reaches the floor it returns. The first
-    # pass is the sweep's, on coarse models from close to the exact one to
-    # a single atom (width), or (None) one off by almost tau = 0.05 on
-    # purpose, up and down in turn; point masses and ties included. A
-    # profile of point masses alone has the exact kernel as first pass
+    # forms them: every ball's exact score is at most its run's bound, and
+    # the run step scores every candidate whose exact score reaches the
+    # floor it returns, in candidate order. The first pass is the sweep's,
+    # on coarse models from close to the exact one to a single atom
+    # (width), or (None) one off by almost tau = 0.05 on purpose, up and
+    # down in turn; point masses and ties included. A profile of point
+    # masses alone has the exact kernel as first pass
     n, d = pts.shape
     model = MixtureModel(prof, d)
     with mock.patch.multiple(
@@ -778,21 +782,27 @@ def test_endpoint_brackets_hold_every_exact_mass(pts, prof, width):
     def score(pred, above, below):
         return np.stack([above - pred, pred - below], axis=1)
 
+    slack = tau + gaussmix._COARSE_SLACK
+    exact_s = score(exact, *aux)
+    end_s = score(end_pred, *(a[:, ends] for a in aux))
+    bounds = discrepancy._run_bounds(end_s, ends, 1 / n, slack)
+    for k, (left, right) in enumerate(zip(ends[:-1], ends[1:])):
+        inner = exact_s[:, :, left + 1 : right]
+        assert np.all(inner.max(axis=(1, 2), initial=-math.inf) <= bounds[:, k])
     # from no floor, and from the exact maximum, as when an earlier block's
     # rescoring found it: every candidate that ties it must stay
-    exact_s = score(exact, *aux)
     for start in (-math.inf, float(exact_s.max())):
-        pred, floor = discrepancy._bracket_fill(
-            lambda c2, r2: masses(first, c2, r2), tau, score, c2, r2, end_pred, aux, start
+        floor, row, side, col, s, pred = discrepancy._bracket_runs(
+            lambda c2, r2: masses(first, c2, r2), tau, score, 1 / n, c2, r2, end_pred, aux, start
         )
-        assert pred.shape == exact.shape and np.array_equal(pred[:, ends], end_pred)
-        slack = tau + gaussmix._COARSE_SLACK
-        left = ends[np.searchsorted(ends, np.arange(n), side="right") - 1]
-        right = ends[np.searchsorted(ends, np.arange(n))]
-        assert np.all(pred[:, left] - slack <= exact) and np.all(exact <= pred[:, right] + slack)
         assert floor <= exact_s.max()
-        row, _, col = np.nonzero(exact_s >= floor)
-        assert np.all(np.isfinite(pred[row, col]))
+        keys = (row * 2 + side) * n + col
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(np.abs(pred - exact[row, col]) <= slack)
+        rescored = score(pred[:, None], *(a[0, col, None] for a in aux))
+        assert np.array_equal(s, rescored[np.arange(row.size), side, 0])
+        assert np.all(s + tau >= floor)
+        assert np.isin(np.flatnonzero(exact_s >= floor), keys).all()
 
 
 def _radial_manyatom_input(n=50, seed=1):
@@ -846,17 +856,20 @@ def _one_atom_input():
 
 
 def test_one_atom_estimates_rescore_few_balls_exactly(monkeypatch):
-    # at d = 1 every ball is scored once by the closed-form bracket (every
-    # distinct squared norm once for the net), no coarse model is built, and
-    # the exact kernel rescores a few balls; the reports are those of scoring
-    # every ball exactly, byte for byte. The net holds 80 000 balls: the
-    # bracket pays from 2^12 (_PRUNE_MIN_PAIRS / 4 at d = 1)
+    # at d = 1 the closed-form bracket scores every mc ball once, and every
+    # distinct squared norm of the net once; the radial sweep's run bounds
+    # spare it most balls. No coarse model is built, and the exact kernel
+    # rescores a few balls; the reports are those of scoring every ball
+    # exactly, byte for byte. The net holds 80 000 balls: the bracket pays
+    # from 2^12 (_PRUNE_MIN_PAIRS / 4 at d = 1)
     proj, model = _one_atom_input()
     net = build_ball_net(1, 2.0, 0.01)
+    sweep = (len(proj) + 1) * len(proj)
     cases = [
-        (lambda m: radial_sweep_sup(proj, m), (len(proj) + 1) * len(proj)),
-        (lambda m: mc_ball_sup(proj, m, 5000, seed=1), 5000),
-        (lambda m: sup_over_net(proj, m, net), len(np.unique(net.axis**2)) * len(net.radii)),
+        # the endpoint balls alone are a quarter of the sweep
+        (lambda m: radial_sweep_sup(proj, m), range(sweep // 4, int(0.35 * sweep) + 1)),
+        (lambda m: mc_ball_sup(proj, m, 5000, seed=1), [5000]),
+        (lambda m: sup_over_net(proj, m, net), [len(np.unique(net.axis**2)) * len(net.radii)]),
     ]
     for run, pairs in cases:
         with mock.patch.multiple(discrepancy, _PRUNE_MIN_PAIRS=10**18, _BRACKET_STRIDE=1):
@@ -865,7 +878,7 @@ def test_one_atom_estimates_rescore_few_balls_exactly(monkeypatch):
         calls = _count_kernel_pairs(monkeypatch, model)
         assert json.dumps(run(model).to_json()) == want
         assert all(is_exact for _, is_exact, _ in calls)
-        assert sum(p for p, _, name in calls if name == "interval_masses") == pairs
+        assert sum(p for p, _, name in calls if name == "interval_masses") in pairs
         assert 0 < sum(p for p, _, name in calls if name == "mixture_masses_sq") <= 4
         monkeypatch.undo()
 

@@ -13,16 +13,23 @@ import pytest
 from projlens import (
     EXPERIMENT_NAMES,
     ExperimentResult,
+    MixtureModel,
     PointCloud,
+    apply,
+    experiments,
     gen_cross_polytope,
+    profile,
+    radial_sweep_sup,
     run_cube1d,
     run_decay,
     run_figure4,
     run_profile_table,
     run_residual_variance,
     run_twocluster,
+    sample_projection,
     write_report,
 )
+from projlens.datasets import _center_in_place
 
 
 def small_figure4(threads=1):
@@ -40,6 +47,34 @@ def test_decay_cell_holds_one_source_cloud():
         tracemalloc.stop()
     cloud = 3001 * 3000 * 8
     assert cloud < peak < 1.5 * cloud
+
+
+@pytest.mark.parametrize("shape, gen", [("simplex", "gen_simplex"),
+                                        ("crosspolytope", "gen_cross_polytope")])
+def test_decay_builds_each_seedless_source_once_per_dim(monkeypatch, tmp_path, shape, gen):
+    # the simplex and the cross-polytope do not depend on the seed, so
+    # run_decay builds, centres and profiles each once per D; its report is
+    # byte for byte the one of building a source in every cell
+    make = getattr(experiments, gen)
+    built = []
+    monkeypatch.setattr(experiments, gen, lambda D: built.append(D) or make(D))
+    grid, seeds = (20, 40), [3, 4, 5]
+    got = run_decay(shape=shape, d=1, grid=grid, seed=3, n_seeds=3, threads=1)
+    assert built == list(grid)
+
+    def cell(key):
+        D, s = key
+        src = _center_in_place(make(D))
+        proj = apply(sample_projection(1, D, s), src)
+        return radial_sweep_sup(proj, MixtureModel(profile(src), 1)).value
+
+    _, rows, summary = experiments._dim_sweep(grid, seeds, cell, 1)
+    columns = got.tables["by_dim"][0]
+    want = ExperimentResult("decay", got.params, {"by_dim": (columns, rows)}, summary, seeds)
+    for result, name in ((got, "got"), (want, "want")):
+        write_report(result, tmp_path / name, command="decay")
+    for name in ("decay_by_dim.csv", "decay_summary.json"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
 def test_experiment_names_registry():
@@ -118,6 +153,21 @@ def test_decay_identical_across_threads(estimator):
     ]
     assert runs[0].summary == runs[1].summary
     assert runs[0].tables == runs[1].tables
+
+
+def test_decay_pool_shares_each_source_safely():
+    # eight threads switching often share the per-D source of the mc cells;
+    # a cell that read another D's cloud, or none, would change the tables
+    serial = run_decay(shape="crosspolytope", grid=(10, 20, 30), estimator="mc", n_balls=50,
+                       n_seeds=4, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_decay(shape="crosspolytope", grid=(10, 20, 30), estimator="mc", n_balls=50,
+                           n_seeds=4, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.tables == serial.tables and pooled.summary == serial.summary
 
 
 def test_residual_variance_iid_coordinates():
@@ -308,8 +358,9 @@ def test_output_digest_script_is_stable(tmp_path):
 
 
 def test_route_counts_script(tmp_path):
-    # one line per (workload, kernel route); the mc-scalemix deep pairs take
-    # the Bessel series and none reaches the quadrature
+    # one line per (workload, kernel route), and one for the d = 1 closed
+    # form; the mc-scalemix deep pairs take the Bessel series and none
+    # reaches the quadrature
     script = Path(__file__).resolve().parent.parent / "scripts" / "route_counts.py"
     res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                          cwd=tmp_path, timeout=600)
@@ -319,9 +370,12 @@ def test_route_counts_script(tmp_path):
         workload, route, pairs = line.split()
         counts[workload, route] = int(pairs)
     routes = ["tiny", "erf-sum", "normal-tail", "bessel-series", "short-sum", "chndtr",
-              "convolution", "deep-convolution"]
+              "convolution", "deep-convolution", "closed-form"]
     workloads = ["radial-manyatom", "decay-oneatom", "mc-scalemix", "cli"]
     assert list(counts) == [(w, r) for w in workloads for r in routes]
+    # only the d = 1 workloads take the closed form: decay, and the cli's net
+    assert {w: counts[w, "closed-form"] > 0 for w in workloads} == {
+        "radial-manyatom": False, "decay-oneatom": True, "mc-scalemix": False, "cli": True}
     assert counts["mc-scalemix", "bessel-series"] > 0
     assert counts["mc-scalemix", "deep-convolution"] == 0
     assert sum(counts.values()) > counts["mc-scalemix", "bessel-series"]
