@@ -14,7 +14,6 @@ import json
 import math
 import os
 import subprocess
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -157,14 +156,29 @@ def _seed_list(seed: int, n_seeds: int) -> list[int]:
     return [seed + i for i in range(n_seeds)]
 
 
-def _dim_sweep(grid, seeds: list[int], cell, threads: int) -> tuple[tuple, list, dict]:
+def _dim_sweep(
+    grid, seeds: list[int], cell, threads: int, setup=None
+) -> tuple[tuple, list, dict]:
     """Run ``cell((D, seed))`` over the grid of source dimensions D and the
     seeds; return the grid, a (dim, q25, median, q75) row per D, and the
-    summary: the log-log fit of the medians against D."""
+    summary: the log-log fit of the medians against D.
+
+    With ``setup``, the dimensions run one after another: ``setup(D)`` is
+    built once, before any cell of that D, the D's cells run as
+    ``cell((D, seed), setup(D))`` and share it, and it is dropped before the
+    next D is built. Without it, every cell goes to one pool at once.
+    """
     grid = tuple(int(v) for v in grid)
     if len(grid) < 2:
         raise ValueError("need at least two grid dimensions to fit a slope")
-    out = _run_cells([(D, s) for D in grid for s in seeds], cell, threads)
+    if setup is None:
+        out = _run_cells([(D, s) for D in grid for s in seeds], cell, threads)
+    else:
+        out = {}
+        for D in grid:
+            shared = setup(D)
+            out.update(_run_cells([(D, s) for s in seeds], lambda key: cell(key, shared), threads))
+            del shared
     rows = []
     for D in grid:
         q = _quartiles([out[(D, s)] for s in seeds])
@@ -291,27 +305,13 @@ def run_decay(
         raise ValueError(f"the {shape} has a fixed row count and takes no n")
     seeds = _seed_list(seed, n_seeds)
 
-    def source(D, s):
+    def source(D, s=0):
         src = _center_in_place(_decay_cloud(shape, D, n, s))
         return src, profile(src)
 
-    held, lock = {}, threading.Lock()
-
-    def shared(D):
-        # the simplex and the cross-polytope do not depend on the seed, so
-        # the cells of one D, which run one after another, share a source
-        # cloud and its profile. One D is held at a time, and it is dropped
-        # before the next is built: an lru_cache(maxsize=1) holds both for a
-        # moment, and took run_decay()'s peak resident size from 135 to 142 MB
-        with lock:
-            if D not in held:
-                held.clear()
-                held[D] = source(D, 0)
-            return held[D]
-
-    def cell(key):
+    def cell(key, shared=None):
         D, s = key
-        src, prof = shared(D) if shape in ("simplex", "crosspolytope") else source(D, s)
+        src, prof = shared or source(D, s)
         proj = apply(sample_projection(d, D, s), src)
         model = MixtureModel(prof, d)
         if estimator == "radial":
@@ -321,10 +321,14 @@ def run_decay(
             proj, model, n_balls, seed=s, center_box=box, max_radius=max_radius
         ).value
 
-    # radial cells run serially: on a 2-core machine a pool of two took
-    # run_decay() from 3.3-3.5 s to 3.6-3.9 s of wall time, and its peak
-    # resident size from 136 to 142-144 MB
-    grid, rows, summary = _dim_sweep(grid, seeds, cell, threads if estimator == "mc" else 1)
+    # the simplex and the cross-polytope do not depend on the seed, so each
+    # D's source cloud is built, centred and profiled once, before its cells,
+    # and dropped before the next D's. Radial cells run serially: on a 2-core
+    # machine a pool of two took run_decay() from 3.3-3.5 s to 3.6-3.9 s of
+    # wall time, and its peak resident size from 136 to 142-144 MB
+    setup = source if shape in ("simplex", "crosspolytope") else None
+    threads = threads if estimator == "mc" else 1
+    grid, rows, summary = _dim_sweep(grid, seeds, cell, threads, setup)
     params = {
         "shape": shape,
         "d": d,

@@ -59,6 +59,11 @@ def test_decay_builds_each_seedless_source_once_per_dim(monkeypatch, tmp_path, s
     built = []
     monkeypatch.setattr(experiments, gen, lambda D: built.append(D) or make(D))
     grid, seeds = (20, 40), [3, 4, 5]
+    # the pooled mc cells of one D share its source too, and build no other
+    run_decay(shape=shape, d=1, grid=grid, estimator="mc", n_balls=50, seed=3, n_seeds=3,
+              threads=4)
+    assert built == list(grid)
+    built.clear()
     got = run_decay(shape=shape, d=1, grid=grid, seed=3, n_seeds=3, threads=1)
     assert built == list(grid)
 
@@ -145,29 +150,20 @@ def test_threads_never_change_results():
         assert serial.tables[name] == pooled.tables[name]
 
 
-@pytest.mark.parametrize("estimator", ["radial", "mc"])
-def test_decay_identical_across_threads(estimator):
+@pytest.mark.parametrize("estimator, shape, threads", [
+    ("radial", "simplex", (1, 2)),
+    ("mc", "simplex", (1, 2)),
+    ("mc", "crosspolytope", (1, 2, 8)),
+], ids=["radial", "mc", "mc-crosspolytope"])
+def test_decay_identical_across_threads(estimator, shape, threads):
     runs = [
-        run_decay(grid=(20, 40), estimator=estimator, n_balls=200, n_seeds=2, threads=t)
-        for t in (1, 2)
+        run_decay(shape=shape, grid=(20, 40), estimator=estimator, n_balls=200, n_seeds=4,
+                  threads=t)
+        for t in threads
     ]
-    assert runs[0].summary == runs[1].summary
-    assert runs[0].tables == runs[1].tables
-
-
-def test_decay_pool_shares_each_source_safely():
-    # eight threads switching often share the per-D source of the mc cells;
-    # a cell that read another D's cloud, or none, would change the tables
-    serial = run_decay(shape="crosspolytope", grid=(10, 20, 30), estimator="mc", n_balls=50,
-                       n_seeds=4, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = run_decay(shape="crosspolytope", grid=(10, 20, 30), estimator="mc", n_balls=50,
-                           n_seeds=4, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert pooled.tables == serial.tables and pooled.summary == serial.summary
+    for run in runs[1:]:
+        assert run.summary == runs[0].summary
+        assert run.tables == runs[0].tables
 
 
 def test_residual_variance_iid_coordinates():
