@@ -180,14 +180,7 @@ class PowerExponentialLaw:
     scale: float = 1.0
 
 
-@dataclass(frozen=True)
-class EmpiricalLaw:
-    """Radius sigma_i * sqrt(D) with probability w_i from a profile."""
-
-    profile: Profile
-
-
-RadialLaw = AtomLaw | PowerExponentialLaw | EmpiricalLaw
+RadialLaw = AtomLaw | PowerExponentialLaw
 
 
 def gen_simplex(D: int) -> PointCloud:
@@ -251,13 +244,14 @@ def gen_cube(D: int, n: int | None = None, seed: int = 0) -> PointCloud:
 
 
 def _check_law(law: RadialLaw) -> None:
-    """Refuse a law parameter that is not finite and > 0, by name."""
+    """Refuse an unknown law, or a law parameter that is not finite and > 0,
+    by name."""
     if isinstance(law, AtomLaw):
         params = {"sigma": law.sigma}
     elif isinstance(law, PowerExponentialLaw):
         params = {"beta": law.beta, "scale": law.scale}
     else:
-        return
+        raise ValueError(f"unknown radial law {law!r}")
     for name, value in params.items():
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} of the radial law must be finite and > 0, got {value}")
@@ -266,19 +260,12 @@ def _check_law(law: RadialLaw) -> None:
 def _radii_for_law(law: RadialLaw, D: int, n: int, gen: np.random.Generator) -> np.ndarray:
     if isinstance(law, AtomLaw):
         return np.full(n, law.sigma * np.sqrt(D))
-    if isinstance(law, EmpiricalLaw):
-        u = rng.uniforms(gen, n)
-        cum = np.cumsum(law.profile.weights)
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, law.profile.sigmas.size - 1)
-        return law.profile.sigmas[idx] * np.sqrt(D)
-    if isinstance(law, PowerExponentialLaw):
-        # With y = (r/scale)^(2 beta) / 2 the radial density becomes a
-        # Gamma(D / (2 beta)) law in y, so one gamma quantile per draw suffices.
-        u = rng.uniforms(gen, n)
-        y = gamma_ppf(D / (2.0 * law.beta), u)
-        return law.scale * (2.0 * y) ** (1.0 / (2.0 * law.beta))
-    raise ValueError(f"unknown radial law {law!r}")
+    # PowerExponentialLaw: with y = (r/scale)^(2 beta) / 2 the radial density
+    # becomes a Gamma(D / (2 beta)) law in y, so one gamma quantile per draw
+    # suffices.
+    u = rng.uniforms(gen, n)
+    y = gamma_ppf(D / (2.0 * law.beta), u)
+    return law.scale * (2.0 * y) ** (1.0 / (2.0 * law.beta))
 
 
 def gen_spherical(D: int, n: int, law: RadialLaw, seed: int = 0) -> PointCloud:
@@ -287,8 +274,8 @@ def gen_spherical(D: int, n: int, law: RadialLaw, seed: int = 0) -> PointCloud:
     Args:
       D: ambient dimension.
       n: number of rows.
-      law: AtomLaw, PowerExponentialLaw, or EmpiricalLaw; the stored sigma
-        convention means a radius of sigma * sqrt(D).
+      law: AtomLaw or PowerExponentialLaw; the stored sigma convention
+        means a radius of sigma * sqrt(D).
       seed: generator seed.
     """
     if D < 1 or n < 1:

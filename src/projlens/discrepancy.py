@@ -478,9 +478,10 @@ def _best_score(
         cens, side, c2, r2, pred = cens[keep], side[keep], c2[keep], r2[keep], pred[keep]
         aux = [a[keep, None] for a in aux]
         if not exact:
-            # balls of equal (c2, r2) share one kernel evaluation
-            pairs, inv = np.unique(np.stack([c2, r2], axis=1), axis=0, return_inverse=True)
-            pred = mixture_masses_sq(model, pairs[:, 0], pairs[:, 1])[inv.ravel()]
+            # balls of equal (c2, r2) share one kernel evaluation; numpy
+            # sorts the complex key c2 + i r2 by c2, then by r2
+            pairs, inv = np.unique(c2 + 1j * r2, return_inverse=True)
+            pred = mixture_masses_sq(model, pairs.real, pairs.imag)[inv]
         scores = score(pred[:, None], *aux)[np.arange(keep.size), side, 0]
         j = int(np.argmax(scores))
         if best is None or scores[j] > best[0]:

@@ -29,9 +29,7 @@ from .datasets import (
     _center_in_place,
     _write_csv,
     center,
-    gen_cross_polytope,
     gen_cube,
-    gen_simplex,
     gen_two_cluster,
     profile,
     spectrum,
@@ -156,29 +154,14 @@ def _seed_list(seed: int, n_seeds: int) -> list[int]:
     return [seed + i for i in range(n_seeds)]
 
 
-def _dim_sweep(
-    grid, seeds: list[int], cell, threads: int, setup=None
-) -> tuple[tuple, list, dict]:
+def _dim_sweep(grid, seeds: list[int], cell, threads: int) -> tuple[tuple, list, dict]:
     """Run ``cell((D, seed))`` over the grid of source dimensions D and the
-    seeds; return the grid, a (dim, q25, median, q75) row per D, and the
-    summary: the log-log fit of the medians against D.
-
-    With ``setup``, the dimensions run one after another: ``setup(D)`` is
-    built once, before any cell of that D, the D's cells run as
-    ``cell((D, seed), setup(D))`` and share it, and it is dropped before the
-    next D is built. Without it, every cell goes to one pool at once.
-    """
+    seeds, every cell in one pool; return the grid, a (dim, q25, median, q75)
+    row per D, and the summary: the log-log fit of the medians against D."""
     grid = tuple(int(v) for v in grid)
     if len(grid) < 2:
         raise ValueError("need at least two grid dimensions to fit a slope")
-    if setup is None:
-        out = _run_cells([(D, s) for D in grid for s in seeds], cell, threads)
-    else:
-        out = {}
-        for D in grid:
-            shared = setup(D)
-            out.update(_run_cells([(D, s) for s in seeds], lambda key: cell(key, shared), threads))
-            del shared
+    out = _run_cells([(D, s) for D in grid for s in seeds], cell, threads)
     rows = []
     for D in grid:
         q = _quartiles([out[(D, s)] for s in seeds])
@@ -204,6 +187,26 @@ def mc_box(model: MixtureModel, center_box: float | None = None) -> tuple[float,
     return center_box, 1.5 * center_box
 
 
+def _projected_source(shape: str, pmap) -> tuple[PointCloud, Profile]:
+    """The centred simplex (``gen_simplex``) or cross-polytope
+    (``gen_cross_polytope``) under the "random" map pmap, and its one-atom
+    profile, in O(dD) memory. Each vertex is a multiple of an axis or of the
+    all-ones vector: with t = theta 1 / sqrt(D), the simplex's a 1 (a as in
+    ``gen_simplex``) and sqrt(D) e_i, less their mean c 1, map to (a - c) t
+    and theta[:, i] - c t, and the cross-polytope's +-sqrt(D) e_i map to
+    +-theta[:, i]."""
+    theta, D = pmap.theta, pmap.D
+    if shape == "simplex":
+        a = (1.0 - math.sqrt(D + 1.0)) / math.sqrt(D)
+        c = (a + math.sqrt(D)) / (D + 1)
+        t = theta.sum(axis=1) / math.sqrt(D)
+        data, sigma = np.vstack([(a - c) * t, theta.T - c * t]), math.sqrt(D / (D + 1.0))
+    else:
+        data, sigma = np.empty((2 * D, pmap.d)), 1.0
+        data[0::2], data[1::2] = theta.T, -theta.T
+    return PointCloud(data, centered=True), Profile.from_scales([sigma])
+
+
 def run_figure4(
     D: int = 1000,
     d: int = 2,
@@ -215,7 +218,8 @@ def run_figure4(
     """Project the D-simplex to the plane and race it against a true Gaussian
     sample of the same size: both clouds are scored by mc_ball_sup against
     N(0, I_d), and the two point sets are emitted unlabeled (set_a/set_b);
-    the summary says which is which.
+    the summary says which is which. The simplex is projected in closed
+    form (``_projected_source``).
 
     The centered simplex profile is a single atom at sqrt(D/(D+1)), within
     1/(2(D+1)) of 1, so the N(0, I_d) reference is used directly. The Gaussian
@@ -225,8 +229,7 @@ def run_figure4(
     """
     _check_threads(threads)
     seeds = _seed_list(seed, n_seeds)
-    source = _center_in_place(gen_simplex(D))
-    n = source.n
+    n = D + 1
     model = MixtureModel(Profile.from_scales([1.0]), d)
     # (4.0, 6.0) for N(0, I_d)
     box, max_radius = mc_box(model)
@@ -234,7 +237,7 @@ def run_figure4(
     def cell(key):
         kind, s = key
         if kind == "proj":
-            cloud = apply(sample_projection(d, D, s), source)
+            cloud = _projected_source("simplex", sample_projection(d, D, s))[0]
         else:
             cloud = center(gaussian_sample(d, n, 1.0, s))
         rep = mc_ball_sup(cloud, model, n_balls, seed=s, center_box=box, max_radius=max_radius)
@@ -272,16 +275,6 @@ def run_figure4(
     return ExperimentResult("figure4", params, tables, summary, seeds)
 
 
-def _decay_cloud(shape: str, D: int, n: int | None, seed: int) -> PointCloud:
-    if shape == "simplex":
-        return gen_simplex(D)
-    if shape == "crosspolytope":
-        return gen_cross_polytope(D)
-    if shape == "cube":
-        return gen_cube(D, n=n or 2048, seed=seed)
-    raise ValueError(f"decay supports simplex, crosspolytope, cube; got {shape!r}")
-
-
 def run_decay(
     shape: str = "simplex",
     d: int = 1,
@@ -296,23 +289,28 @@ def run_decay(
     """Sweep the source dimension at fixed d and fit how the discrepancy
     decays; the log-log slope against D lands near -1/2 for the simplex.
 
-    threads pools the mc cells only; radial cells run serially.
+    The simplex and the cross-polytope are projected in closed form
+    (``_projected_source``), in O(dD) memory; the cube samples n (default
+    2048) vertices a cell. threads pools the mc cells only; radial cells run
+    serially.
     """
     _check_threads(threads)
     if estimator not in ("radial", "mc"):
         raise ValueError(f"estimator must be radial or mc, got {estimator!r}")
+    if shape not in ("simplex", "crosspolytope", "cube"):
+        raise ValueError(f"decay supports simplex, crosspolytope, cube; got {shape!r}")
     if shape in ("simplex", "crosspolytope") and n is not None:
         raise ValueError(f"the {shape} has a fixed row count and takes no n")
     seeds = _seed_list(seed, n_seeds)
 
-    def source(D, s=0):
-        src = _center_in_place(_decay_cloud(shape, D, n, s))
-        return src, profile(src)
-
-    def cell(key, shared=None):
+    def cell(key):
         D, s = key
-        src, prof = shared or source(D, s)
-        proj = apply(sample_projection(d, D, s), src)
+        pmap = sample_projection(d, D, s)
+        if shape == "cube":
+            src = _center_in_place(gen_cube(D, n=n or 2048, seed=s))
+            proj, prof = apply(pmap, src), profile(src)
+        else:
+            proj, prof = _projected_source(shape, pmap)
         model = MixtureModel(prof, d)
         if estimator == "radial":
             return radial_sweep_sup(proj, model).value
@@ -321,14 +319,11 @@ def run_decay(
             proj, model, n_balls, seed=s, center_box=box, max_radius=max_radius
         ).value
 
-    # the simplex and the cross-polytope do not depend on the seed, so each
-    # D's source cloud is built, centred and profiled once, before its cells,
-    # and dropped before the next D's. Radial cells run serially: on a 2-core
-    # machine a pool of two took run_decay() from 3.3-3.5 s to 3.6-3.9 s of
-    # wall time, and its peak resident size from 136 to 142-144 MB
-    setup = source if shape in ("simplex", "crosspolytope") else None
+    # radial cells run serially: on a 2-core machine a pool of two took
+    # run_decay() from 2.8-3.8 s to 3.5-3.7 s of wall time, and its peak
+    # resident size from 59 to 62 MB
     threads = threads if estimator == "mc" else 1
-    grid, rows, summary = _dim_sweep(grid, seeds, cell, threads, setup)
+    grid, rows, summary = _dim_sweep(grid, seeds, cell, threads)
     params = {
         "shape": shape,
         "d": d,

@@ -178,6 +178,14 @@ def test_spherical_refuses_a_bad_law_parameter_by_name(law, name, monkeypatch):
         gen_spherical(8, 10, law)
 
 
+def test_spherical_refuses_an_unknown_law_before_drawing(monkeypatch):
+    from projlens import datasets
+
+    monkeypatch.setattr(datasets.rng, "normals", None)
+    with pytest.raises(ValueError, match="unknown radial law"):
+        gen_spherical(8, 10, 1.0)
+
+
 def test_two_cluster_labels_partition():
     cloud = gen_two_cluster(10, 101, 4.0, seed=2)
     assert sorted(np.bincount(cloud.labels)) == [50, 51]

@@ -13,13 +13,14 @@ import pytest
 from projlens import (
     EXPERIMENT_NAMES,
     ExperimentResult,
-    MixtureModel,
     PointCloud,
+    SizeLimitError,
     apply,
+    center,
     experiments,
     gen_cross_polytope,
+    gen_simplex,
     profile,
-    radial_sweep_sup,
     run_cube1d,
     run_decay,
     run_figure4,
@@ -29,7 +30,6 @@ from projlens import (
     sample_projection,
     write_report,
 )
-from projlens.datasets import _center_in_place
 
 
 def small_figure4(threads=1):
@@ -37,49 +37,41 @@ def small_figure4(threads=1):
 
 
 def test_decay_cell_holds_one_source_cloud():
-    # the D = 3000 simplex (72 MB) is centred in place, so a run_decay cell
-    # holds one copy of it, not the generated cloud and a centred copy beside
+    # the D = 3000 simplex is projected in closed form, so a run_decay cell
+    # never holds the 3001 x 3000 cloud (72 MB), nor anything near it
     tracemalloc.start()
     try:
         run_decay(shape="simplex", d=1, grid=(10, 3000), n_seeds=1, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    cloud = 3001 * 3000 * 8
-    assert cloud < peak < 1.5 * cloud
+    assert peak < 3001 * 3000 * 8 / 10
 
 
-@pytest.mark.parametrize("shape, gen", [("simplex", "gen_simplex"),
-                                        ("crosspolytope", "gen_cross_polytope")])
-def test_decay_builds_each_seedless_source_once_per_dim(monkeypatch, tmp_path, shape, gen):
-    # the simplex and the cross-polytope do not depend on the seed, so
-    # run_decay builds, centres and profiles each once per D; its report is
-    # byte for byte the one of building a source in every cell
-    make = getattr(experiments, gen)
-    built = []
-    monkeypatch.setattr(experiments, gen, lambda D: built.append(D) or make(D))
-    grid, seeds = (20, 40), [3, 4, 5]
-    # the pooled mc cells of one D share its source too, and build no other
-    run_decay(shape=shape, d=1, grid=grid, estimator="mc", n_balls=50, seed=3, n_seeds=3,
-              threads=4)
-    assert built == list(grid)
-    built.clear()
-    got = run_decay(shape=shape, d=1, grid=grid, seed=3, n_seeds=3, threads=1)
-    assert built == list(grid)
+@pytest.mark.parametrize("D", [1, 2, 10, 300, 3000])
+@pytest.mark.parametrize("shape, gen", [("simplex", gen_simplex),
+                                        ("crosspolytope", gen_cross_polytope)],
+                         ids=["simplex", "crosspolytope"])
+def test_projected_source_matches_the_dense_route(shape, gen, D):
+    src = center(gen(D))
+    atom = profile(src).sigmas
+    for d in range(1, min(3, D) + 1):
+        pmap = sample_projection(d, D, seed=D + d)
+        got, prof = experiments._projected_source(shape, pmap)
+        assert got.centered
+        np.testing.assert_allclose(got.data, apply(pmap, src).data, rtol=0, atol=1e-12)
+        assert prof.weights.tolist() == [1.0]
+        np.testing.assert_allclose(prof.sigmas, atom, rtol=1e-14, atol=0)
 
-    def cell(key):
-        D, s = key
-        src = _center_in_place(make(D))
-        proj = apply(sample_projection(1, D, s), src)
-        return radial_sweep_sup(proj, MixtureModel(profile(src), 1)).value
 
-    _, rows, summary = experiments._dim_sweep(grid, seeds, cell, 1)
-    columns = got.tables["by_dim"][0]
-    want = ExperimentResult("decay", got.params, {"by_dim": (columns, rows)}, summary, seeds)
-    for result, name in ((got, "got"), (want, "want")):
-        write_report(result, tmp_path / name, command="decay")
-    for name in ("decay_by_dim.csv", "decay_summary.json"):
-        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+def test_decay_runs_past_the_dense_memory_ceiling():
+    # a dense 12001 x 12000 simplex is over MEMORY_LIMIT, and gen_simplex
+    # refuses it; the closed form holds a 12001 x 1 projection
+    with pytest.raises(SizeLimitError):
+        gen_simplex(12000)
+    result = run_decay(shape="simplex", d=1, grid=(12000, 13000), estimator="mc",
+                       n_balls=500, n_seeds=1, threads=1)
+    assert all(0.0 < row[2] < 0.1 for row in result.tables["by_dim"][1])
 
 
 def test_experiment_names_registry():
