@@ -4,10 +4,11 @@
 
 Runs each workload's operation of ``perfbench/worker.py`` once at seed N
 (default 1), on the package in this checkout's ``src``, and prints one
-``workload label sha256`` line per output. Two checkouts that print the same
-lines give the same bytes on every workload at that seed. The decay
-summary's ``git_describe_or_version`` names the commit, so it is masked.
-Takes a few seconds.
+``workload label sha256`` line per output; the cli workload's lines also
+cover the CSVs its set-up ``gen`` commands write, labelled by file name.
+Two checkouts that print the same lines give the same bytes on every
+workload at that seed. The decay summary's ``git_describe_or_version``
+names the commit, so it is masked. Takes a few seconds.
 
 With ``--against FILE`` (lines this script printed, say in another
 checkout) it also compares: it names on stderr each output whose digest
@@ -44,6 +45,7 @@ def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     # read perfbench/ only: leave no bytecode cache there
     sys.dont_write_bytecode = True
+    import params
     import worker
 
     from projlens import experiments
@@ -53,6 +55,11 @@ def main() -> int:
     for name, (setup, op, _) in worker.WORKLOADS.items():
         with tempfile.TemporaryDirectory() as work:
             outputs = op(setup(args.seed, work), args.seed, work)
+            if name == "cli":
+                for argv in params.cli_gen_argv(args.seed):
+                    out = argv[argv.index("--out") + 1]
+                    with open(os.path.join(work, out), encoding="utf-8") as fh:
+                        outputs.append((out, fh.read()))
             os.chdir(ROOT)
         for label, text in outputs:
             lines.append(f"{name} {label} {hashlib.sha256(text.encode()).hexdigest()}")

@@ -35,7 +35,7 @@ from .datasets import (
     PointCloud,
     PowerExponentialLaw,
     SizeLimitError,
-    center,
+    _center_in_place,
     gen_cross_polytope,
     gen_cube,
     gen_simplex,
@@ -140,14 +140,14 @@ def _build_cloud(shape: str, args) -> PointCloud:
 def _cmd_gen(args) -> int:
     cloud = _build_cloud(args.shape, args)
     save_points_csv(cloud, args.out)
-    src = center(cloud)
+    src = _center_in_place(cloud)
     prof = profile(src)
     spect = spectrum(src)
     _print_json(
         {
             "shape": args.shape,
-            "dim": cloud.dim,
-            "n": cloud.n,
+            "dim": src.dim,
+            "n": src.n,
             "atom_count": len(prof.atoms),
             "lambda_max": spect.lambda_max,
             "lambda_avg": spect.lambda_avg,
@@ -179,7 +179,7 @@ def _project_cloud(src: PointCloud, d: int, mode: str, seed: int):
 
 
 def _cmd_project(args) -> int:
-    src = center(load_points_csv(args.infile))
+    src = _center_in_place(load_points_csv(args.infile))
     proj, pmap, notes = _project_cloud(src, args.d, args.mode, args.seed)
     save_points_csv(proj, args.out)
     map_csv, map_json = _map_paths(args.out)
@@ -209,7 +209,7 @@ def _cmd_discrepancy(args) -> int:
             file=sys.stderr,
         )
         return 1
-    src = center(load_points_csv(args.infile))
+    src = _center_in_place(load_points_csv(args.infile))
     prof = profile(src)
     model = MixtureModel(prof, args.d)
     proj, _, _ = _project_cloud(src, args.d, args.mode, args.seed)

@@ -324,10 +324,11 @@ def center(cloud: PointCloud) -> PointCloud:
 
 
 def _center_in_place(cloud: PointCloud) -> PointCloud:
-    """``center`` for a freshly generated cloud that nothing else holds: the
-    column means are subtracted from its own array (which the generators
-    allocate, so it may be made writeable again), and no second copy of it
-    is made. The values are the same bytes as ``center``'s."""
+    """``center`` for a cloud just generated or loaded that nothing else
+    holds: the column means are subtracted from its own array (which the
+    generators and ``load_points_csv`` allocate, so it may be made writeable
+    again), and no second copy of it is made. The values are the same bytes
+    as ``center``'s."""
     if cloud.centered:
         return cloud
     data = cloud.data

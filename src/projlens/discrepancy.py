@@ -13,7 +13,9 @@ from the one mixture-mass kernel: the net its grid centers times its radii,
 scored once per distinct squared norm; mc its seeded ball stream; radial the
 data distances at each center. One scoring core serves all three. It counts
 points in balls from the squared distances to a block of centers, in the one
-form empirical_mass also uses, and keeps the first maximum in candidate order.
+form empirical_mass also uses, and keeps the first maximum in candidate order
+(the net's centers come grouped by squared norm, and exact ties go to the
+first in net order).
 
 Every ball takes one path through the core: a first pass scores it, the
 balls whose first-pass score is within 2 tau of the best are kept, and the
@@ -40,9 +42,9 @@ bound: the larger of the left end's score from above and the right end's
 score from below, plus the rise of the empirical mass across the run, tau
 and _COARSE_SLACK. Only the runs whose bound reaches the floor are opened;
 there each ball gets the same bound on its own, and the first pass scores
-the balls whose bound reaches the floor. The net keeps its table of
-distinct squared norms and mc its one radius per center, so both go
-straight to the first pass.
+the balls whose bound reaches the floor. The net scores each block's
+distinct squared norms against every radius, and mc has one radius per
+center, so both go straight to the first pass.
 
 Closed balls throughout; boundary ties count as inside.
 """
@@ -254,17 +256,6 @@ class BallNet:
                 yield Ball(center, float(r))
         yield Ball.all_space(self.d)
 
-    def center_blocks(self, block: int = 256):
-        """Yield (m, d) arrays of grid centers in iteration order."""
-        buf = []
-        for coords in itertools.product(self.axis, repeat=self.d):
-            buf.append(coords)
-            if len(buf) == block:
-                yield np.array(buf, dtype=float)
-                buf = []
-        if buf:
-            yield np.array(buf, dtype=float)
-
 
 def build_ball_net(d: int, c: float, eps_o: float) -> BallNet:
     if d < 1:
@@ -439,12 +430,16 @@ def _best_score(
     score over n_balls balls; the scoring core of every estimator.
 
     ``blocks(m, masses)`` yields, for a (rows, cols) block of balls,
-    (centers (rows, d), c2, r2, pred, aux): ||c||^2 and r^2, the masses
+    (index (rows,), centers (rows, d), c2, r2, pred, aux): each center's
+    position in candidate order, ||c||^2 and r^2, the masses
     ``masses(m, c2, r2)``, and a tuple of arrays, each broadcasting to
     (rows, cols). ``score(pred, *aux)`` maps them, element by element, to
-    (rows, S, cols) scores, S candidates per ball, in candidate order; each
-    score is monotone or convex in pred, and moves by at most as much. The
-    winner's center row, its s, and its pred and aux values come back.
+    (rows, S, cols) scores, S candidates per ball, in candidate order at
+    each center; each score is monotone or convex in pred, and moves by at
+    most as much. The winner's center row, its s, and its pred and aux
+    values come back. The centers may come in any order (the net's come
+    grouped by squared norm): exact ties go to the lowest index, and at one
+    center to the first candidate.
 
     Every block is scored by the first pass of ``_pruning``, whose every
     mass is within tau of the kernel's, and so is every score. The exact
@@ -464,18 +459,21 @@ def _best_score(
     """
     first, masses, tau = _pruning(model, n_balls)
     exact = first is model and masses is mixture_masses_sq
-    best, floor, kept, n_kept = None, -math.inf, [], 0
+    best, best_key, floor, kept, n_kept = None, None, -math.inf, [], 0
 
     def rescore():
-        nonlocal best, floor
+        nonlocal best, best_key, floor
         if not kept:
             return
-        first_s, cens, side, c2, r2, pred, *aux = (np.concatenate(parts) for parts in zip(*kept))
+        first_s, index, cens, side, c2, r2, pred, *aux = (
+            np.concatenate(parts) for parts in zip(*kept)
+        )
         kept.clear()
         keep = np.flatnonzero(first_s + tau >= floor)
         if keep.size == 0:
             return
-        cens, side, c2, r2, pred = cens[keep], side[keep], c2[keep], r2[keep], pred[keep]
+        index, cens, side = index[keep], cens[keep], side[keep]
+        c2, r2, pred = c2[keep], r2[keep], pred[keep]
         aux = [a[keep, None] for a in aux]
         if not exact:
             # balls of equal (c2, r2) share one kernel evaluation; numpy
@@ -483,17 +481,20 @@ def _best_score(
             pairs, inv = np.unique(c2 + 1j * r2, return_inverse=True)
             pred = mixture_masses_sq(model, pairs.real, pairs.imag)[inv]
         scores = score(pred[:, None], *aux)[np.arange(keep.size), side, 0]
-        j = int(np.argmax(scores))
-        if best is None or scores[j] > best[0]:
+        # the kept candidates of one center come in candidate order
+        top = np.flatnonzero(scores == scores.max())
+        j = int(top[np.argmin(index[top])])
+        key = (float(scores[j]), -int(index[j]))
+        if best is None or key > best_key:
             aux_j = tuple(float(a[j, 0]) for a in aux)
-            best = (float(scores[j]), cens[j], int(side[j]), float(pred[j]), aux_j)
-            floor = max(floor, best[0])
+            best = (key[0], cens[j], int(side[j]), float(pred[j]), aux_j)
+            best_key, floor = key, max(floor, key[0])
 
     def at_endpoints(m, c2, r2):
         return masses(m, c2, r2[:, _endpoints(r2.shape[1])])
 
     bracket = run_rise is not None
-    for centers, c2, r2, pred, aux in blocks(first, at_endpoints if bracket else masses):
+    for index, centers, c2, r2, pred, aux in blocks(first, at_endpoints if bracket else masses):
         if bracket:
             floor, row, side, col, first_s, pred = _bracket_runs(
                 functools.partial(masses, first), tau, score, run_rise, c2, r2, pred, aux, floor
@@ -504,7 +505,9 @@ def _best_score(
             row, side, col = np.unravel_index(np.flatnonzero(scores + tau >= floor), scores.shape)
             first_s, pred = scores[row, side, col], _gather(pred, row, col)
         at = functools.partial(_gather, row=row, col=col)
-        kept.append((first_s, centers[row], side, at(c2), at(r2), pred, *map(at, aux)))
+        kept.append(
+            (first_s, index[row], centers[row], side, at(c2), at(r2), pred, *map(at, aux))
+        )
         n_kept += row.size
         if n_kept > _PRUNE_MAX_KEPT:
             rescore()
@@ -605,48 +608,61 @@ def _abs_gap(pred, emp, radii):
 
 
 def _net_blocks(model: MixtureModel, net: BallNet, masses=mixture_masses_sq):
-    """(centers, radii, predicted) blocks of the grid balls in net order, the
+    """(index, centers, radii, predicted) blocks of the grid balls, the
     predicted masses ``masses(model, c2, r2)``: by default the kernel's.
+    index holds each center's position in net order; each row holds one
+    center's balls in net order.
 
     F-bar(B(c, r)) depends on c only through ||c||^2, and the symmetric
     axis repeats squared norms: each comes about twice at d = 1, 8 times at
-    d = 2 and 48 times at d = 3. So ``masses`` scores a table of the
-    distinct squared norms against the radii, and each block gathers its
-    rows: every ball gets the value for the bits of its own ||c||^2. The
-    table is scored some 2^19 balls a call, which bounds the per-ball
-    arrays of a call. It holds one double per distinct
-    norm and radius, so unlike the blocks it grows with the net: about
-    n_grid_balls / 2 doubles at d = 1 (38 MB at NET_SIZE_LIMIT), far fewer at
-    d >= 2.
+    d = 2 and 48 times at d = 3. So the centers come grouped by squared norm
+    (a stable sort of net order), in blocks of at most 2^16 balls that end
+    where a group begins unless one group fills the block, and each block
+    scores its distinct squared norms once against the radii: every ball
+    gets the value for the bits of its own ||c||^2, and each norm is scored
+    once unless its group alone holds more than a block. Only the centers
+    and their order are held for the whole net. The cli benchmark's net
+    command (3.6 M balls at d = 1, 2-core machine) peaked at 78-81 MB RSS
+    with blocks of 2^18 balls and at 72-75 MB with 2^16, where a table of
+    every distinct norm against the radii (14 MB) peaked at 91.6 MB.
     """
     k = len(net.radii)
-    centers = list(net.center_blocks(max(1, 2**18 // k)))
-    c2 = np.concatenate([np.einsum("...j,...j->...", b, b) for b in centers])
-    uniq, row_of = np.unique(c2, return_inverse=True)
+    # every grid center, in net order: the last coordinate varies fastest
+    grid = np.stack(np.meshgrid(*[net.axis] * net.d, indexing="ij"), axis=-1).reshape(-1, net.d)
+    c2 = np.einsum("...j,...j->...", grid, grid)
+    order = np.argsort(c2, kind="stable")
+    c2 = c2[order]
+    heads = np.flatnonzero(np.concatenate(([True], c2[1:] != c2[:-1])))
     r2 = net.radii**2
-    table = np.empty((len(uniq), k))
-    step = max(1, 2**19 // k)
-    for s in range(0, len(uniq), step):
-        table[s : s + step] = masses(model, uniq[s : s + step, None], r2)
+    step = max(1, 2**16 // k)
     start = 0
-    for block in centers:
-        rows = row_of[start : start + len(block)]
-        start += len(block)
-        yield block, np.broadcast_to(net.radii, (len(block), k)), table[rows]
+    while start < len(order):
+        stop = start + step
+        if stop < len(order):
+            head = heads[np.searchsorted(heads, stop, side="right") - 1]
+            stop = head if head > start else stop
+        uniq, row_of = np.unique(c2[start:stop], return_inverse=True)
+        index = order[start:stop]
+        pred = masses(model, uniq[:, None], r2)[row_of]
+        yield index, grid[index], np.broadcast_to(net.radii, (len(index), k)), pred
+        start = stop
 
 
 def sup_over_net(cloud, model: MixtureModel, net: BallNet) -> DiscrepancyReport:
-    """Exact max of |empirical - predicted| over the net balls."""
+    """Exact max of |empirical - predicted| over the net balls, the first in
+    net order among exact ties. The balls are scored a block of centers
+    grouped by squared norm at a time (``_net_blocks``), so the memory held
+    is the grid's centers plus one block, whatever the net's size."""
     pts = _as_points(cloud, net.d)
     n = pts.shape[0]
     _check_work(model, net.d, net.n_grid_balls, "the ball net", "use the mc estimator")
     r2 = net.radii**2
 
     def blocks(m, masses):
-        for centers, radii, pred in _net_blocks(m, net, masses):
+        for index, centers, radii, pred in _net_blocks(m, net, masses):
             emp = _count_within(pts, centers, radii * radii) / n
             c2 = np.einsum("...j,...j->...", centers, centers)[:, None]
-            yield centers, c2, r2, pred, (emp, radii)
+            yield index, centers, c2, r2, pred, (emp, radii)
 
     # a net without grid balls still holds the ALL ball
     best = (0.0, Ball.all_space(net.d), 1.0, 1.0)
@@ -716,7 +732,8 @@ def radial_sweep_sup(cloud, model: MixtureModel, centers=None) -> DiscrepancyRep
             c2 = np.einsum("...j,...j->...", block[:, None, :], block[:, None, :])
             r2 = np.sqrt(sq)
             r2 *= r2
-            yield block, c2, r2, masses(m, c2, r2), (hi, lo, c2, r2, sq)
+            pred = masses(m, c2, r2)
+            yield np.arange(s, s + len(block)), block, c2, r2, pred, (hi, lo, c2, r2, sq)
 
     def score(pred, hi, lo, c2, r2, sq):
         # sq[i, j] has j points before it and j + 1 within it. For a tied
@@ -786,7 +803,7 @@ def mc_ball_sup(
             emp = _count_within(pts, c, r * r) / n
             c2 = np.einsum("...j,...j->...", c[:, None, :], c[:, None, :])
             r2 = r**2
-            yield c, c2, r2, masses(m, c2, r2), (emp, r)
+            yield np.arange(s, s + len(c)), c, c2, r2, masses(m, c2, r2), (emp, r)
 
     value, center, _, pred, (emp, radius) = _best_score(model, n_balls, blocks, _abs_gap)
     return _report(

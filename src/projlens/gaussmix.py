@@ -178,6 +178,7 @@ def mixture_masses_pairs(model: MixtureModel, centers: np.ndarray, radii) -> np.
 def mixture_masses_sq(model: MixtureModel, c2, r2) -> np.ndarray:
     """F-bar(B(c, r)) from ||c||^2 and r^2, broadcast against each other; the
     one mixture-mass kernel (``_atom_sum`` of ``chisq_cdf_pairs``)."""
+    c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
     return _atom_sum(model, c2, r2, functools.partial(chisq_cdf_pairs, model.d))
 
 
@@ -219,11 +220,11 @@ def interval_masses(model: MixtureModel, c2, r2) -> np.ndarray:
 
 def _atom_sum(model: MixtureModel, c2, r2, cdf) -> np.ndarray:
     """sum_i w_i cdf(||c||^2 / sigma_i^2, r^2 / sigma_i^2) over the live atoms,
-    plus the point masses where c^2 <= r^2, capped at 1. ``cdf`` gets (ball,
-    atom) arrays of about _CHUNK_PAIRS pairs, which it may overwrite; each
-    ball's row is summed on its own, so its mass has the same bits however
-    many balls share its chunk."""
-    c2, r2 = np.broadcast_arrays(np.asarray(c2, dtype=float), np.asarray(r2, dtype=float))
+    plus the point masses where c^2 <= r^2, capped at 1; c2 and r2 are float
+    arrays of one shape, which the callers broadcast once. ``cdf`` gets
+    (ball, atom) arrays of about _CHUNK_PAIRS pairs, which it may overwrite;
+    each ball's row is summed on its own, so its mass has the same bits
+    however many balls share its chunk."""
     sigmas = model.profile.sigmas
     weights = model.profile.weights
     zero = sigmas == 0.0

@@ -4,6 +4,7 @@ reproducibility."""
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from projlens import (
     sample_projection,
     vc_ball_rate,
 )
+from projlens import cli
 
 
 def run_cli(*args, cwd=None):
@@ -166,6 +168,46 @@ def test_discrepancy_reproducible_and_witness_recomputes(tmp_path):
     pred = mixture_ball_mass(model, witness)
     assert abs(emp - pred) == pytest.approx(report["value"], abs=1e-12)
     assert report["params"]["witness_predicted"] == pytest.approx(pred, abs=1e-12)
+
+
+# the cli benchmark's simplex: 1001 x 1000, a cloud of 8 MB
+_SIMPLEX_D = 1000
+_SIMPLEX_BYTES = (_SIMPLEX_D + 1) * _SIMPLEX_D * 8
+
+
+def _traced_peak(argv) -> float:
+    """cli.main(argv) in this process; its traced peak in cloud sizes."""
+    tracemalloc.start()
+    try:
+        assert cli.main(list(map(str, argv))) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / _SIMPLEX_BYTES
+
+
+@pytest.fixture(scope="module")
+def simplex_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("simplex") / "simplex.csv"
+    assert run_cli("gen", "--shape", "simplex", "--dim", _SIMPLEX_D, "--out", path).returncode == 0
+    return path
+
+
+def test_gen_holds_one_copy_of_its_cloud(tmp_path):
+    # gen centres the cloud it wrote in place; the peak is the cloud and
+    # mean_eigenvalue's X * X. Measured 2.01 clouds (3.01 with a centred
+    # copy beside the cloud)
+    argv = ["gen", "--shape", "simplex", "--dim", _SIMPLEX_D, "--out", tmp_path / "s.csv"]
+    assert _traced_peak(argv) < 2.25
+
+
+def test_discrepancy_net_holds_one_copy_of_its_cloud(simplex_csv):
+    # the loaded cloud is centred in place, and the net scores its distinct
+    # squared norms a block at a time, with no table that grows with the net
+    # (3.6 M balls here). Measured 2.01 clouds (4.47 with a centred copy and
+    # a table of every distinct norm against the radii, 14 MB)
+    argv = ["discrepancy", "--in", simplex_csv, "--d", 1, "--estimator", "net", "--seed", 1]
+    assert _traced_peak(argv) < 2.25
 
 
 def test_discrepancy_net_guard_for_high_d(tmp_path):

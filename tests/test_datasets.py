@@ -224,10 +224,19 @@ def test_center_idempotent_and_flagged():
     assert np.allclose(center(cp).data, cp.data)
 
 
-def test_center_in_place_gives_the_bytes_of_center():
-    # the experiments centre the clouds they generate in place; the values
-    # are those of center, which copies
-    for make in (lambda: gen_simplex(40), lambda: gen_cube(30, n=50, seed=3)):
+def test_center_in_place_gives_the_bytes_of_center(tmp_path):
+    # the experiments and the CLI centre the clouds they generate or load in
+    # place; the values are those of center, which copies. A loaded CSV
+    # with labels is copied out of numpy's table, one without is a view of it
+    labelled, plain = tmp_path / "labelled.csv", tmp_path / "plain.csv"
+    save_points_csv(gen_two_cluster(6, 40, 3.0, seed=2), labelled)
+    save_points_csv(gen_cube(7, n=30, seed=1), plain)
+    for make in (
+        lambda: gen_simplex(40),
+        lambda: gen_cube(30, n=50, seed=3),
+        lambda: load_points_csv(labelled),
+        lambda: load_points_csv(plain),
+    ):
         want = center(make())
         cloud = make()
         got = _center_in_place(cloud)

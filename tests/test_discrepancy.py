@@ -663,20 +663,25 @@ def test_report_json_round_trip():
 
 @pytest.mark.parametrize("d, c, eps_o", [(1, 2.0, 0.1), (2, 1.5, 0.3), (3, 1.0, 0.45)])
 def test_net_table_gives_every_ball_its_own_mass(d, c, eps_o):
-    # sup_over_net scores each distinct squared norm once; every grid ball
-    # must still get, bit for bit, the mass of its own ball, point mass at
-    # the origin and far centers (deep lower tail) included
+    # sup_over_net scores each distinct squared norm once, the centers
+    # grouped by norm; every grid ball must still come exactly once with,
+    # bit for bit, the mass of its own ball, point mass at the origin and
+    # far centers (deep lower tail) included. The ALL ball comes last
     from projlens.discrepancy import _net_blocks
 
     model = MixtureModel(Profile.from_scales([0.0, 0.05, 0.3, 1.0]), d)
     net = build_ball_net(d, c, eps_o)
-    balls = iter(net)
-    for centers, radii, pred in _net_blocks(model, net):
+    balls = list(net)
+    k = len(net.radii)
+    seen = np.zeros(net.n_grid_balls // k, dtype=int)
+    for index, centers, radii, pred in _net_blocks(model, net):
+        np.add.at(seen, index, 1)
         for i, j in np.ndindex(pred.shape):
-            ball = next(balls)
+            ball = balls[index[i] * k + j]
             assert np.array_equal(centers[i], ball.center) and radii[i, j] == ball.radius
             assert pred[i, j] == mixture_ball_mass(model, ball)
-    assert next(balls).is_all
+    assert np.all(seen == 1)
+    assert len(balls) == net.n_grid_balls + 1 and balls[-1].is_all
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -693,6 +698,31 @@ def test_sup_over_net_is_first_max_over_every_ball(d):
     report = sup_over_net(pts, model, net)
     assert report.value == want
     assert report.witness == witness
+
+
+@pytest.mark.parametrize("scales", [[0.0], [0.0, 0.001]], ids=["point-mass", "narrow-atom"])
+def test_sup_over_net_breaks_ties_in_net_order(scales):
+    # the model's mass sits at the origin, so a ball holding the origin and
+    # no other point than the 30 at it scores 1 - 30/50 exactly, at many
+    # centers on both sides of 0 (+-c among them). Grouped by squared norm
+    # the centers near 0 come first; the report must still take the first
+    # maximum in net order, the most negative center. 80 802 balls: the
+    # first pass (on the narrow atom) and two 2^16-ball blocks run
+    pts = np.concatenate([np.zeros(30), np.full(10, -1.9037), np.full(10, 0.9113)])[:, None]
+    model = MixtureModel(Profile.from_scales(scales), 1)
+    net = build_ball_net(1, 2.0, 0.01)
+    assert net.n_grid_balls == 201 * 402
+    r2 = net.radii**2
+    emp = (((pts[:, 0] - net.axis[:, None, None]) ** 2 <= r2[:, None]).sum(axis=2)) / 50
+    score = np.abs(emp - gaussmix.mixture_masses_sq(model, net.axis[:, None] ** 2, r2))
+    i, j = np.unravel_index(np.argmax(score), score.shape)
+    tied = np.argwhere(score == score[i, j])
+    assert score[i, j] == 0.4 and net.axis[i] < 0.0
+    at = net.axis[tied[:, 0]]
+    assert np.any(at > 0.0) and np.any(at**2 < net.axis[i] ** 2)
+    report = sup_over_net(pts, model, net)
+    assert report.value == 0.4
+    assert report.witness == Ball(np.array([net.axis[i]]), float(net.radii[j]))
 
 
 # many atoms in a narrow band of log sigma, as empirical profiles have them,

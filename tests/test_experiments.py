@@ -308,9 +308,10 @@ def test_pilot_rates_net_script():
 
 
 def test_output_digest_script_is_stable(tmp_path):
-    # one line per benchmark output, the same bytes on every run; --against
-    # passes on a run's own lines and names each output that differs from
-    # saved lines, or that only one side has; --seed picks the inputs
+    # one line per benchmark output, and per CSV the cli set-up writes, the
+    # same bytes on every run; --against passes on a run's own lines and
+    # names each output that differs from saved lines, or that only one side
+    # has; --seed picks the inputs
     script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
 
     def run(*args):
@@ -322,7 +323,7 @@ def test_output_digest_script_is_stable(tmp_path):
     lines = first.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
         ["radial-manyatom", "radial"], ["decay-oneatom", "decay"], ["mc-scalemix", "mc"],
-        ["cli", "mc"], ["cli", "net"],
+        ["cli", "mc"], ["cli", "net"], ["cli", "twocluster.csv"], ["cli", "simplex.csv"],
     ]
     assert all(len(line.split()[2]) == 64 for line in lines)
     (tmp_path / "saved.txt").write_text(first.stdout)
@@ -334,15 +335,18 @@ def test_output_digest_script_is_stable(tmp_path):
     differs = run("--against", "tampered.txt")
     assert differs.returncode == 1
     assert differs.stderr.splitlines() == [
-        "differs: cli mc", "differs: cli extra", "differs: cli net"
+        "differs: cli mc", "differs: cli extra", "differs: cli net",
+        "differs: cli twocluster.csv", "differs: cli simplex.csv",
     ]
-    # another seed gives other inputs, so other digests, for the same outputs
+    # another seed gives other inputs, so other digests, for the same
+    # outputs; the simplex takes no seed, so its CSV keeps its bytes
     seeded = run("--seed", "2")
     assert seeded.returncode == 0, seeded.stderr
     assert [line.split()[:2] for line in seeded.stdout.splitlines()] == [
         line.split()[:2] for line in lines
     ]
-    assert set(seeded.stdout.splitlines()).isdisjoint(lines)
+    same = set(seeded.stdout.splitlines()) & set(lines)
+    assert [line.split()[1] for line in same] == ["simplex.csv"]
 
 
 def test_route_counts_script(tmp_path):
