@@ -35,6 +35,7 @@ from .datasets import (
     PointCloud,
     PowerExponentialLaw,
     SizeLimitError,
+    SpectrumSummary,
     _center_in_place,
     gen_cross_polytope,
     gen_cube,
@@ -78,6 +79,8 @@ from .projection import (
 from .stats import dip_statistic
 
 GEN_SHAPES = ("simplex", "crosspolytope", "cube", "spherical", "twocluster")
+# shapes whose centred covariance is a multiple of I, so lambda_max = lambda_avg
+ISOTROPIC_SHAPES = ("simplex", "crosspolytope")
 NET_MAX_D = 3
 
 
@@ -142,7 +145,12 @@ def _cmd_gen(args) -> int:
     save_points_csv(cloud, args.out)
     src = _center_in_place(cloud)
     prof = profile(src)
-    spect = spectrum(src)
+    if args.shape in ISOTROPIC_SHAPES:
+        # the centred covariance is lambda_avg * I: no eigensolver needed
+        lam = mean_eigenvalue(src)
+        spect = SpectrumSummary(lam, lam, src.dim)
+    else:
+        spect = spectrum(src)
     _print_json(
         {
             "shape": args.shape,
@@ -211,12 +219,14 @@ def _cmd_discrepancy(args) -> int:
         return 1
     src = _center_in_place(load_points_csv(args.infile))
     prof = profile(src)
-    model = MixtureModel(prof, args.d)
+    lam_avg = mean_eigenvalue(src) if args.estimator == "net" else None
     proj, _, _ = _project_cloud(src, args.d, args.mode, args.seed)
+    # the estimators need only the profile, lambda_avg and the projection:
+    # the cloud is freed before they score
+    del src
+    model = MixtureModel(prof, args.d)
     if args.estimator == "net":
-        npar = net_params_from_bounds(
-            args.eps, sigma_epsilon(prof, args.eps), mean_eigenvalue(src), args.d
-        )
+        npar = net_params_from_bounds(args.eps, sigma_epsilon(prof, args.eps), lam_avg, args.d)
         net = build_ball_net(args.d, npar.c, npar.eps_o)
         report = sup_over_net(proj, model, net)
     elif args.estimator == "radial":

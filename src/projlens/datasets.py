@@ -10,6 +10,7 @@ radial law, and a labeled two-cluster mixture.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -360,7 +361,9 @@ def spectrum(cloud: PointCloud) -> SpectrumSummary:
     lambda_avg is the mean squared row norm over D (``mean_eigenvalue``);
     lambda_max is the top eigenvalue from ``_top_eigenpairs``: LAPACK's
     ``eigh`` (through numpy) up to D = 512, ARPACK's ``eigsh`` on matvecs
-    v -> X^T(Xv)/n past it.
+    v -> X^T(Xv)/n past it. Where the covariance is known to be lambda_avg
+    times I, as for the centred simplex and cross-polytope, lambda_max is
+    lambda_avg and ``mean_eigenvalue`` alone gives both (``gen`` does so).
     """
     if not cloud.centered:
         warnings.warn("spectrum of an uncentered cloud; center() it first", UserWarning)
@@ -373,10 +376,22 @@ def spectrum(cloud: PointCloud) -> SpectrumSummary:
 
 def mean_eigenvalue(cloud: PointCloud) -> float:
     """lambda_avg of ``spectrum``, without an eigensolver: the mean
-    eigenvalue of X^T X / n, which is the mean squared row norm over D."""
+    eigenvalue of X^T X / n, which is the mean squared row norm over D.
+
+    The squares are summed in row blocks of some 1 MB, as ``profile`` takes
+    its norms, so no squared copy of the cloud is made. A cloud of one block
+    keeps the bits of a whole-cloud sum; past it the sum runs in another
+    order, which may move the last bit (the centred simplex's lambda_avg
+    moves by 2.2e-16 relative at D = 400 and 3000, not at D = 1000).
+    """
     X = cloud.data
     n, D = X.shape
-    return float((X * X).sum() / (n * D))
+    step = max(1, 2**17 // D)
+    total = 0.0
+    for s in range(0, n, step):
+        block = X[s : s + step]
+        total += float((block * block).sum())
+    return total / (n * D)
 
 
 def _top_eigenpairs(X: np.ndarray, k: int):
@@ -400,8 +415,9 @@ def _top_eigenpairs(X: np.ndarray, k: int):
     elif not X.any():
         lam, vec = np.zeros(k), np.eye(D, k)
     else:
-        # imported here: it costs 90 ms, which CLI commands that never reach
-        # this route would pay at start-up
+        # imported here: it costs some 50 ms and 8 MB, which CLI commands
+        # that never reach this route would pay at start-up (gen of the
+        # simplex or cross-polytope takes lambda_max in closed form)
         from scipy.sparse.linalg import LinearOperator, eigsh
 
         op = LinearOperator((D, D), matvec=lambda v: X.T @ (X @ v) / n, dtype=float)
@@ -434,25 +450,45 @@ def _parse_cell(text: str, row: int, col: int) -> float:
         raise CsvFormatError(f"non-numeric value {text!r}", row, col) from None
 
 
-def _parse_table(lines: list[str], width: int) -> np.ndarray | None:
-    """All cells of equal-width rows through numpy's C parser, or None when a
-    row is ragged or a cell does not parse. Its values are Python's float()
-    of each stripped cell, bit for bit."""
-    if any(line.count(",") + 1 != width for line in lines):
-        return None
+def _data_lines(fh, start: int):
+    """The non-blank lines of the open text file fh, from its first line on,
+    after the first ``start`` of them; one line is held at a time."""
+    fh.seek(0)
+    return itertools.islice((line for line in fh if not line.isspace()), start, None)
+
+
+def _parse_table(lines, count: int, width: int) -> np.ndarray | None:
+    """The (count, width) table of the data lines through numpy's C parser,
+    which reads them one at a time and, with the row count given, allocates
+    the table once; or None when it refuses a row (ragged, or a cell it does
+    not parse). Its values are Python's float() of each stripped cell, bit
+    for bit."""
     try:
-        # with the row count given, numpy allocates the table once
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=len(lines))
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=count)
     except ValueError:
         return None
+    return table if table.shape == (count, width) else None
 
 
-def _scan_rows(lines: list[str], start: int, width: int, n_cols: int, has_labels: bool):
-    """Rows and labels cell by cell; the first ragged row, bad cell, or label
-    that is not an integer below 2^63 in magnitude (nan and inf are not)
-    raises CsvFormatError at its 1-based position."""
-    rows = np.empty((len(lines), n_cols))
-    labels = np.empty(len(lines), dtype=int) if has_labels else None
+def _leading_columns(table: np.ndarray, k: int) -> np.ndarray:
+    """table[:, :k] as a C-contiguous array in table's own buffer, whose rows
+    are moved down a block of some 64 kB at a time (numpy buffers a block
+    whose source and target overlap), so no second table is allocated."""
+    n, width = table.shape
+    out = table.reshape(-1)[: n * k].reshape(n, k)
+    step = max(1, 2**13 // width)
+    for s in range(0, n, step):
+        out[s : s + step] = table[s : s + step, :k]
+    return out
+
+
+def _scan_rows(lines, start: int, count: int, width: int, n_cols: int, has_labels: bool):
+    """Rows and labels of the count data lines, cell by cell; the first
+    ragged row, bad cell, or label that is not an integer below 2^63 in
+    magnitude (nan and inf are not) raises CsvFormatError at its 1-based
+    position."""
+    rows = np.empty((count, n_cols))
+    labels = np.empty(count, dtype=int) if has_labels else None
     for i, line in enumerate(lines):
         cells = line.split(",")
         rownum = start + i + 1
@@ -481,45 +517,56 @@ def _read_csv(path):
     a last column headed "label" holds integer labels (else None); values
     holds the other cells, which must be finite. Blank lines are skipped.
     The first fault raises CsvFormatError at its 1-based row (blank lines
-    not counted) and, for a bad cell, column. numpy parses the cells; only
-    input it refuses is scanned cell by cell, which finds the position of
-    the first fault (or accepts what Python's float() accepts).
+    not counted) and, for a bad cell, column.
+
+    A first pass over the file counts its rows and reads the header; numpy
+    then parses the rows straight from the file into a table of that size,
+    so no list of the file's lines is held and the values take one table.
+    Only input numpy refuses is read again and scanned cell by cell, which
+    finds the position of the first fault (or accepts what Python's float()
+    accepts).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
-    if not lines:
-        raise CsvFormatError("empty CSV file")
-    first = lines[0].split(",")
-    header = None
-    try:
-        float(first[0])
-    except ValueError:
-        header = [cell.strip() for cell in first]
-    has_labels = header is not None and header[-1].lower() == "label"
-    start = 0 if header is None else 1
-    if start == len(lines):
-        raise CsvFormatError("header but no data rows", row=1)
-    width = len(lines[start].split(","))
-    if header is not None and len(header) != width:
-        raise CsvFormatError(
-            f"header has {len(header)} columns, data has {width}", row=2
-        )
-    n_cols = width - 1 if has_labels else width
-    if n_cols < 1:
-        raise CsvFormatError("no numeric columns", row=start + 1)
-    table = _parse_table(lines[start:], width)
-    labels = None
-    if table is not None and has_labels:
-        labels = table[:, -1]
-        if np.all((labels == np.trunc(labels)) & (np.abs(labels) < 2.0**63)):
-            labels = labels.astype(int)
-        else:
-            table = None
-    if table is None:
-        values, labels = _scan_rows(lines[start:], start, width, n_cols, has_labels)
-    else:
-        values = table[:, :n_cols]
+        count, head = 0, []
+        for line in fh:
+            if not line.isspace():
+                count += 1
+                if count <= 2:
+                    head.append(line.split(","))
+        if not head:
+            raise CsvFormatError("empty CSV file")
+        header = None
+        try:
+            float(head[0][0])
+        except ValueError:
+            header = [cell.strip() for cell in head[0]]
+        has_labels = header is not None and header[-1].lower() == "label"
+        start = 0 if header is None else 1
+        count -= start
+        if count == 0:
+            raise CsvFormatError("header but no data rows", row=1)
+        width = len(head[start])
+        if header is not None and len(header) != width:
+            raise CsvFormatError(
+                f"header has {len(header)} columns, data has {width}", row=2
+            )
+        n_cols = width - 1 if has_labels else width
+        if n_cols < 1:
+            raise CsvFormatError("no numeric columns", row=start + 1)
+        values = labels = None
+        table = _parse_table(_data_lines(fh, start), count, width)
+        if table is not None and not has_labels:
+            values = table
+        elif table is not None:
+            col = table[:, -1]
+            if np.all((col == np.trunc(col)) & (np.abs(col) < 2.0**63)):
+                # copied first: moving the values down overwrites the column
+                labels = col.astype(int)
+                values = _leading_columns(table, n_cols)
+        if values is None:
+            values, labels = _scan_rows(
+                _data_lines(fh, start), start, count, width, n_cols, has_labels
+            )
     if not np.all(np.isfinite(values)):
         bad = np.argwhere(~np.isfinite(values))[0]
         raise CsvFormatError(

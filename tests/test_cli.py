@@ -17,12 +17,15 @@ from projlens import (
     discrepancy_rate,
     empirical_mass,
     fixed_ball_tail,
+    gen_two_cluster,
     inflation_delta,
     load_points_csv,
     mixture_ball_mass,
     mixture_inflation_delta,
     profile,
     sample_projection,
+    save_points_csv,
+    spectrum,
     vc_ball_rate,
 )
 from projlens import cli
@@ -175,14 +178,22 @@ _SIMPLEX_D = 1000
 _SIMPLEX_BYTES = (_SIMPLEX_D + 1) * _SIMPLEX_D * 8
 
 
-def _traced_peak(argv) -> float:
-    """cli.main(argv) in this process; its traced peak in cloud sizes."""
+def _traced(fn) -> int:
+    """fn() in this process; its traced peak in bytes."""
     tracemalloc.start()
     try:
-        assert cli.main(list(map(str, argv))) == 0
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def _traced_peak(argv) -> float:
+    """cli.main(argv) in this process; its traced peak in cloud sizes."""
+    codes = []
+    peak = _traced(lambda: codes.append(cli.main(list(map(str, argv)))))
+    assert codes == [0]
     return peak / _SIMPLEX_BYTES
 
 
@@ -194,20 +205,65 @@ def simplex_csv(tmp_path_factory):
 
 
 def test_gen_holds_one_copy_of_its_cloud(tmp_path):
-    # gen centres the cloud it wrote in place; the peak is the cloud and
-    # mean_eigenvalue's X * X. Measured 2.01 clouds (3.01 with a centred
-    # copy beside the cloud)
+    # gen centres the cloud it wrote in place, and mean_eigenvalue squares
+    # it a 1 MB block at a time. Measured 1.14 clouds (2.01 with X * X
+    # squared whole, 3.01 with a centred copy beside the cloud as well)
     argv = ["gen", "--shape", "simplex", "--dim", _SIMPLEX_D, "--out", tmp_path / "s.csv"]
-    assert _traced_peak(argv) < 2.25
+    assert _traced_peak(argv) < 1.25
 
 
 def test_discrepancy_net_holds_one_copy_of_its_cloud(simplex_csv):
-    # the loaded cloud is centred in place, and the net scores its distinct
-    # squared norms a block at a time, with no table that grows with the net
-    # (3.6 M balls here). Measured 2.01 clouds (4.47 with a centred copy and
-    # a table of every distinct norm against the radii, 14 MB)
+    # the CSV is parsed into one table, centred in place and freed before
+    # the net scores its distinct squared norms a block at a time, with no
+    # table that grows with the net (3.6 M balls here). Measured 1.16
+    # clouds (2.01 with every line of the CSV held and X * X squared whole,
+    # 4.47 with a centred copy and a table of every distinct norm as well)
     argv = ["discrepancy", "--in", simplex_csv, "--d", 1, "--estimator", "net", "--seed", 1]
-    assert _traced_peak(argv) < 2.25
+    assert _traced_peak(argv) < 1.25
+
+
+def test_load_points_csv_holds_one_table(simplex_csv):
+    # numpy parses the rows from the file into a table allocated once;
+    # measured 1.14 clouds (1.65 with every line of the file held)
+    assert _traced(lambda: load_points_csv(simplex_csv)) / _SIMPLEX_BYTES < 1.2
+
+
+def test_load_labelled_csv_holds_one_table(tmp_path):
+    # the cli benchmark's two-cluster CSV, 2000 x 50 and labelled: the
+    # values take the parsed table's own buffer, without its label column.
+    # Measured 1.18 clouds (3.85 with every line held and the values copied)
+    cloud = gen_two_cluster(50, 2000, 4.0, seed=1)
+    path = tmp_path / "tc.csv"
+    save_points_csv(cloud, path)
+    assert _traced(lambda: load_points_csv(path)) / cloud.data.nbytes < 1.25
+
+
+@pytest.mark.parametrize(
+    "shape, isotropic", [("simplex", True), ("crosspolytope", True), ("cube", False)]
+)
+def test_gen_isotropic_shapes_skip_the_eigensolver(tmp_path, shape, isotropic):
+    # D = 600 is past the dense eigh cut, where spectrum() takes ARPACK. The
+    # simplex's and the cross-polytope's centred covariances are
+    # lambda_avg * I, so gen prints lambda_avg as lambda_max and never
+    # imports scipy.sparse.linalg; the cube's lambda_max still comes from
+    # ARPACK
+    rows = [] if isotropic else ["--n", "1500"]
+    argv = ["gen", "--shape", shape, "--dim", "600", *rows, "--out", "x.csv"]
+    code = (
+        "import sys\n"
+        "from projlens import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    text, imported = res.stdout.rstrip("\n").rsplit("\n", 1)
+    assert imported == str(not isotropic)
+    report = json.loads(text)
+    assert (report["lambda_max"] == report["lambda_avg"]) == isotropic
+    want = spectrum(center(load_points_csv(tmp_path / "x.csv"))).lambda_max
+    assert report["lambda_max"] == pytest.approx(want, rel=1e-12)
 
 
 def test_discrepancy_net_guard_for_high_d(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,83 @@ def test_csv_cells_read_as_python_floats(tmp_path):
     want = np.array([float(c) for c in cells])
     assert np.array_equal(cloud.data, np.column_stack([want, want]))
     assert cloud.labels.tolist() == list(range(len(cells)))
+
+
+def _read_outcome(path):
+    """_read_csv's (header, value bytes, labels), or its fault and position;
+    a warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            header, values, labels = datasets._read_csv(path)
+        except CsvFormatError as exc:
+            return "error", str(exc), exc.row, exc.col
+    return header, values.shape, values.tobytes(), None if labels is None else labels.tolist()
+
+
+_NEAR_2_63 = 2.0**63 - 1024  # the largest double below 2^63
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0,x1\n1,2\n3,4",
+        "x0,label\n1,0\n2.5,7",
+        "x0,x1\r\n1,2\r\n3,4\r\n",
+        "x0,x1\r1,2\r3,4\r",
+        "x0,x1\n1,2\n\n3,4\n\n\n",
+        "x0,x1\n1,2\n   \n3,4\n \t \n",
+        "\n \n\nx0,x1\n1,2\n3,4\n",
+        "x0,x1\n",
+        "x0,x1\n\n  \n",
+        "",
+        " \n\n",
+        "1,2\n3,4\n",
+        "\n1,2\n\n3,4",
+        "x0,x1\n1,2\n3\n",
+        "1,2\n3,4,5\n",
+        "x0,x1\n1,2\n3,zz\n",
+        "x0,x1\n1,,2\n",
+        "x0,x1\n1,2,\n",
+        "x0,label\n1,0\n2,1.5\n",
+        f"x0,label\n1,{_NEAR_2_63:.0f}\n2,{-_NEAR_2_63:.0f}\n",
+        "x0,label\n1,0\n2,9223372036854775807\n",
+        "x0,label\n1,0\n2,-9223372036854775808\n",
+        "x0,x1,label\n1,2,0\n3,nan,1\n",
+    ],
+    ids=[
+        "no-final-newline", "labels-no-final-newline", "crlf", "cr", "blank-lines",
+        "whitespace-lines", "blank-before-header", "header-no-rows",
+        "header-then-blank", "empty", "only-blank", "no-header", "no-header-blank",
+        "ragged-short", "ragged-long", "non-numeric", "empty-cell", "trailing-comma",
+        "label-fraction", "labels-near-2-63", "label-2-63", "label-minus-2-63",
+        "nan-with-labels",
+    ],
+)
+def test_csv_parse_matches_the_line_scan(tmp_path, monkeypatch, text):
+    # numpy parses straight from the file; the line scan is the reference
+    # for every value and every fault position
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    scans = []
+    scan = datasets._scan_rows
+    monkeypatch.setattr(datasets, "_scan_rows", lambda *a: scans.append(1) or scan(*a))
+    got = _read_outcome(path)
+    if got[0] != "error":
+        assert not scans  # numpy read it
+    monkeypatch.setattr(datasets, "_parse_table", lambda *a: None)
+    assert _read_outcome(path) == got
+
+
+def test_labelled_csv_drops_its_label_column_in_blocks(tmp_path):
+    # the values of a labelled table take its own buffer, moved down a block
+    # of rows at a time; 20 000 rows of four cells take ten blocks
+    cloud = gen_two_cluster(3, 20_000, 1.5, seed=3)
+    path = tmp_path / "pts.csv"
+    save_points_csv(cloud, path)
+    back = load_points_csv(path)
+    assert np.array_equal(back.data, cloud.data)
+    assert np.array_equal(back.labels, cloud.labels)
 
 
 
