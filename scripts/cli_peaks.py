@@ -4,13 +4,15 @@
 
 For each seed (default 1), in a new scratch directory, runs the cli
 workload's children the way ``perfbench/run.py`` runs them: the two set-up
-``gen`` commands, then one cycle (``discrepancy`` mc and net), each as its
-own ``python -m projlens`` process on the package in this checkout's
-``src``, one at a time. Prints one ``seed label wall_s maxrss_mb`` line per
-child, the peak from ``ru_maxrss`` of that child alone. The command lines
-come from ``perfbench/params.py``, read only; ``--simplex-dim`` replaces the
-simplex's dimension (default: the benchmark's) to see how a peak grows with
-the cloud. Standard library only; a child that fails stops the script.
+``gen`` commands, then one cycle (``discrepancy`` mc and net), then the two
+untimed ``project`` commands its checks run (``project-twocluster`` and
+``project-simplex``). Each child is its own ``python -m projlens`` process
+on the package in this checkout's ``src``, run one at a time. Prints one
+``seed label wall_s maxrss_mb`` line per child, the peak from ``ru_maxrss``
+of that child alone. The command lines come from ``perfbench/params.py``,
+read only; ``--simplex-dim`` replaces the simplex's dimension (default: the
+benchmark's) to see how a peak grows with the cloud. Standard library only;
+a child that fails stops the script.
 """
 
 import argparse
@@ -58,6 +60,8 @@ def main() -> int:
         children = [(f"gen-{argv[argv.index('--shape') + 1]}", argv)
                     for argv in params.cli_gen_argv(seed)]
         children += params.cli_cycle_argv(seed)
+        children += [(f"project-{argv[argv.index('--in') + 1].removesuffix('.csv')}", argv)
+                     for argv in params.cli_project_argv(seed)]
         with tempfile.TemporaryDirectory() as work:
             for label, argv in children:
                 wall, mb = run_child(argv, work, env)

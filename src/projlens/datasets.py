@@ -55,6 +55,16 @@ def _check_memory(rows: int, cols: int, what: str) -> None:
         )
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite. A finite sum proves it with no n x D
+    temporary; only a sum that is not finite, which finite entries can reach
+    by overflow, falls back to the elementwise scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(arr.sum()):
+            return True
+    return bool(np.isfinite(arr).all())
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """n rows in R^dim, optionally centered, optionally labeled.
@@ -73,7 +83,7 @@ class PointCloud:
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=float))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"point cloud must be a 2-d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("point cloud entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -567,7 +577,7 @@ def _read_csv(path):
             values, labels = _scan_rows(
                 _data_lines(fh, start), start, count, width, n_cols, has_labels
             )
-    if not np.all(np.isfinite(values)):
+    if not _all_finite(values):
         bad = np.argwhere(~np.isfinite(values))[0]
         raise CsvFormatError(
             "non-finite value", row=start + int(bad[0]) + 1, col=int(bad[1]) + 1

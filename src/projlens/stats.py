@@ -1,5 +1,5 @@
 """Small statistics toolkit: KS distances, a Kolmogorov tail, log-log slope
-fits, and a dip-style unimodality gap for projected coordinates."""
+fits, and Hartigan's dip, a unimodality gap for projected coordinates."""
 
 from __future__ import annotations
 
@@ -60,130 +60,103 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-_DIP_MAX_ATOMS = 128
-# atoms closer than this share of the span merge before the fit program,
-# which HiGHS cannot solve reliably on near-coincident atoms
-_DIP_MERGE_TOL = 1e-9
-
-
-def _merge_runs(vals: np.ndarray, counts: np.ndarray, edges: np.ndarray):
-    """Merge each run of atoms vals[edges[j]:edges[j + 1]] into one atom at
-    the run's weighted mean."""
-    out_v = np.empty(edges.size - 1)
-    out_c = np.empty(edges.size - 1, dtype=np.int64)
-    for j in range(edges.size - 1):
-        sl = slice(edges[j], edges[j + 1])
-        out_c[j] = counts[sl].sum()
-        out_v[j] = vals[sl] @ counts[sl] / out_c[j]
-    return out_v, out_c
-
-
-def _mode_fit_distance(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> float:
-    """Exact sup-distance to the nearest CDF with its mode at vals[k].
-
-    Linear program over the fitted CDF's values at the atoms: one variable
-    per atom, a second one at the mode (the mode may carry an atom, so the
-    fitted CDF may jump there), and the distance t. Constraints keep the fit
-    within t of both one-sided empirical limits, nondecreasing, convex left
-    of the mode, and concave right of it.
-    """
-    from scipy.optimize import linprog
-
-    m = vals.size
-    nv = m + 2  # g_0..g_{m-1}, g_mode_right, t
-    right_var = m
-    t_var = m + 1
-    rows: list[np.ndarray] = []
-    caps: list[float] = []
-
-    def band(idx: int, floor: float, ceil: float) -> None:
-        row = np.zeros(nv)
-        row[idx], row[t_var] = 1.0, -1.0
-        rows.append(row)
-        caps.append(ceil)
-        row = np.zeros(nv)
-        row[idx], row[t_var] = -1.0, -1.0
-        rows.append(row)
-        caps.append(-floor)
-
-    for i in range(m):
-        if i == k:
-            band(i, lo[k], lo[k])
-            band(right_var, hi[k], hi[k])
-        else:
-            band(i, hi[i], lo[i])
-    left = list(range(k + 1))
-    right = [right_var] + list(range(k + 1, m))
-    chain = left + right
-    for a, b in zip(chain, chain[1:]):
-        row = np.zeros(nv)
-        row[a], row[b] = 1.0, -1.0
-        rows.append(row)
-        caps.append(0.0)
-    for side, sign in ((left, -1.0), (right, 1.0)):
-        xs = [vals[i] if i < m else vals[k] for i in side]
-        for j in range(1, len(side) - 1):
-            dl, dr = xs[j] - xs[j - 1], xs[j + 1] - xs[j]
-            row = np.zeros(nv)
-            # sign * (right slope - left slope) <= 0, multiplied through by
-            # dl * dr > 0 so near-coincident atoms cannot blow up coefficients
-            row[side[j + 1]] += sign * dl
-            row[side[j]] -= sign * (dl + dr)
-            row[side[j - 1]] += sign * dr
-            rows.append(row)
-            caps.append(0.0)
-    cost = np.zeros(nv)
-    cost[t_var] = 1.0
-    res = linprog(
-        cost,
-        A_ub=np.array(rows),
-        b_ub=np.array(caps),
-        bounds=[(0.0, 1.0)] * (m + 1) + [(0.0, None)],
-        method="highs",
-    )
-    if not res.success:  # every mode admits t = 1, so this is a solver fault
-        raise RuntimeError(f"unimodal fit LP failed at mode {k}: {res.message}")
-    return float(res.fun)
+def _segment_gap(x: np.ndarray, jb: int, je: int, convex: bool) -> float:
+    """Largest gap, in points, between the convex minorant's (or concave
+    majorant's) segment from (x[jb], jb) to (x[je], je) and the empirical
+    CDF's jumps it spans: at least 1, half a point each side of a jump."""
+    if je - jb < 2 or x[je] == x[jb]:
+        return 1.0
+    rise = (x[jb : je + 1] - x[jb]) * ((je - jb) / (x[je] - x[jb]))
+    steps = np.arange(je - jb + 1)
+    return float((steps + 1 - rise if convex else rise - (steps - 1)).max())
 
 
 def dip_statistic(sample) -> float:
-    """Unimodality gap of a univariate sample.
+    """Hartigan's dip of a univariate sample (Hartigan & Hartigan, Ann.
+    Statist. 13 (1985); algorithm AS 217, with the index fixes of R's
+    ``diptest``).
 
-    The smallest sup-distance between the empirical CDF and a CDF that is
-    convex left of a mode placed at one of the sample values and concave
-    right of it (the mode may carry an atom); each candidate mode is scored
-    exactly and the best mode wins. Samples with more than 128 distinct
-    values are first coarsened to 128 weighted quantile atoms, which moves
-    the value by at most the largest coarsened weight. Atoms within 1e-9 of
-    the span of their neighbour are then merged into their weighted mean,
-    which moves the value by at most the largest merged weight, as it only
-    changes the empirical CDF between the merged atoms. A 50/50 pair of atoms
-    scores 0.25, the classic perfectly-bimodal value; unimodal laws score
-    O(1/sqrt(n)).
+    The smallest sup-distance between the empirical CDF, both one-sided
+    limits at every point, and a unimodal CDF: convex left of a modal
+    interval, concave right of it. It is exact on all n points. The
+    greatest convex minorant and least concave majorant of the points
+    (x_(i), i) are built once, as index chains, and the modal interval
+    [low, high] narrows until the dip stops growing. Every unimodal CDF
+    misses some jump by half, so the value is at least 1/(2n) (R's
+    ``min.is.0 = FALSE``) unless all values are equal, which scores 0. A
+    50/50 pair of atoms scores 0.25, the classic perfectly-bimodal value;
+    unimodal laws score O(1/sqrt(n)).
     """
     x = np.sort(np.asarray(sample, dtype=float).ravel())
     n = x.size
     if n == 0:
         raise ValueError("sample must be nonempty")
-    vals, counts = np.unique(x, return_counts=True)
-    if vals.size > _DIP_MAX_ATOMS:
-        # adjacent tie groups into quantile bins
-        edges = np.linspace(0, vals.size, _DIP_MAX_ATOMS + 1).round().astype(int)
-        vals, counts = _merge_runs(vals, counts, np.unique(edges))
-    m = vals.size
-    if m == 1:
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise ValueError("sample must be finite")
+    if x[0] == x[-1]:
         return 0.0
-    # the statistic is invariant under increasing affine maps of the data;
-    # normalizing the span keeps the fit program well scaled
-    vals = (vals - vals[0]) / (vals[-1] - vals[0])
-    apart = np.diff(vals) > _DIP_MERGE_TOL
-    if not apart.all():
-        edges = np.flatnonzero(np.concatenate([[True], apart, [True]]))
-        vals, counts = _merge_runs(vals, counts, edges)
-        m = vals.size
-    hi = np.cumsum(counts / n)
-    lo = hi - counts / n
-    best = math.inf
-    for k in range(m):
-        best = min(best, _mode_fit_distance(vals, lo, hi, k))
-    return float(best)
+    if not math.isfinite(float(x[-1]) - float(x[0])):
+        # the dip is invariant under scaling: a span of 2 lets no
+        # difference overflow
+        x = x / (0.5 * x[-1] - 0.5 * x[0])
+    xs = x.tolist()
+    # mn[j] and mj[j]: the hull vertex before j on the convex minorant of
+    # points 0..j, and after j on the concave majorant of points j..n-1
+    mn = [0] * n
+    for j in range(1, n):
+        a = j - 1
+        while a > 0 and (xs[j] - xs[a]) * (a - mn[a]) >= (xs[a] - xs[mn[a]]) * (j - a):
+            a = mn[a]
+        mn[j] = a
+    mj = [n - 1] * n
+    for k in range(n - 2, -1, -1):
+        a = k + 1
+        while a < n - 1 and (xs[k] - xs[a]) * (a - mj[a]) >= (xs[a] - xs[mj[a]]) * (k - a):
+            a = mj[a]
+        mj[k] = a
+    dip = 1.0  # in units of 1/(2n) until the end
+    low, high = 0, n - 1
+    while True:
+        gcm = [high]  # convex minorant's vertices from high down to low
+        while gcm[-1] > low:
+            gcm.append(mn[gcm[-1]])
+        lcm = [low]  # concave majorant's vertices from low up to high
+        while lcm[-1] < high:
+            lcm.append(mj[lcm[-1]])
+        ig, ih = len(gcm) - 1, len(lcm) - 1
+        # the widest vertical gap between the two hulls, walking both vertex
+        # lists up from low; a vertical segment (a tie) scores no gap
+        if len(gcm) == 2 and len(lcm) == 2:
+            d = 1.0
+        else:
+            d = 0.0
+            ix, iv = len(gcm) - 2, 1
+            while True:
+                g, v = gcm[ix], lcm[iv]
+                if g > v:
+                    g1 = gcm[ix + 1]
+                    span = xs[g] - xs[g1]
+                    dx = v - g1 + 1 - (xs[v] - xs[g1]) * (g - g1) / span if span else -math.inf
+                    iv += 1
+                    if dx >= d:
+                        d, ig, ih = dx, ix + 1, iv - 1
+                else:
+                    v1 = lcm[iv - 1]
+                    span = xs[v] - xs[v1]
+                    dx = (xs[g] - xs[v1]) * (v - v1) / span - (g - v1 - 1) if span else -math.inf
+                    ix -= 1
+                    if dx >= d:
+                        d, ig, ih = dx, ix + 1, iv
+                ix, iv = max(ix, 0), min(iv, len(lcm) - 1)
+                if gcm[ix] == lcm[iv]:
+                    break
+        if d < dip:
+            break
+        # the dip outside the new modal interval [gcm[ig], lcm[ih]]
+        dip = max([dip]
+                  + [_segment_gap(x, gcm[j + 1], gcm[j], True) for j in range(ig, len(gcm) - 1)]
+                  + [_segment_gap(x, lcm[j], lcm[j + 1], False) for j in range(ih, len(lcm) - 1)])
+        if low == gcm[ig] and high == lcm[ih]:
+            break
+        low, high = gcm[ig], lcm[ih]
+    return dip / (2 * n)

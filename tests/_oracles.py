@@ -110,6 +110,11 @@ def dip_lp_reference(vals, counts):
     the smallest t so that some CDF G passes within t of both one-sided
     empirical limits at every atom (the mode may carry a jump of its own),
     is nondecreasing, convex left of the mode, and concave right of it.
+
+    Shares no code with ``stats.dip_statistic``, which runs Hartigan's
+    algorithm. HiGHS loses accuracy on near ties: on values 0-24 with 1e-9
+    offsets it was off by about 2e-7, so compare on well-separated or
+    exactly tied values only.
     """
     from scipy.optimize import linprog
 

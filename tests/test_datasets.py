@@ -408,6 +408,21 @@ def test_csv_error_positions(tmp_path, text, message, row, col):
     assert (err.value.row, err.value.col) == (row, col)
 
 
+def test_finite_entries_whose_sum_overflows(tmp_path):
+    big = [[1e308, 1e308], [-1e308, 1e308]]
+    assert PointCloud(np.array(big)).data.tolist() == big
+    with pytest.raises(ValueError, match="must be finite"):
+        PointCloud(np.array([[1e308, 1e308], [1e308, np.nan]]))
+    path = tmp_path / "big.csv"
+    path.write_text("x0,x1\n1e308,1e308\n-1e308,1e308\n")
+    assert load_points_csv(path).data.tolist() == big
+    # an overflowing sum then a bad cell: still found at its position
+    path.write_text("x0,x1\n1e308,1e308\n1e308,-inf\n")
+    with pytest.raises(CsvFormatError, match="non-finite value") as err:
+        load_points_csv(path)
+    assert (err.value.row, err.value.col) == (3, 2)
+
+
 def test_csv_cells_read_as_python_floats(tmp_path):
     # padded cells, signs and exponents, and cells only Python's float()
     # takes (underscores, non-ASCII digits), each to float() of the cell

@@ -76,6 +76,12 @@ def test_dip_atoms():
     assert dip_statistic([0.0, 1.0, 1.0, 1.0]) == pytest.approx(
         two_point_dip(0.25), abs=1e-12
     )
+    # no small-sample shortcut: two and three points carry the floor too
+    assert dip_statistic([0.0, 1.0]) == pytest.approx(two_point_dip(0.5), abs=1e-15)
+    assert dip_statistic([0.0, 1.0, 1.0]) == pytest.approx(two_point_dip(1 / 3), abs=1e-15)
+    # a span past the largest double
+    huge = [-1e308] * 3 + [1e308] * 2
+    assert dip_statistic(huge) == pytest.approx(two_point_dip(0.4), abs=1e-15)
 
 
 def test_dip_tied_hand_values():
@@ -86,19 +92,19 @@ def test_dip_tied_hand_values():
     assert dip_statistic(skew) == pytest.approx(0.075, abs=1e-9)
 
 
-def test_dip_matches_reference_program():
-    rng_local = np.random.default_rng(7)
-    for _ in range(25):
-        m = rng_local.integers(2, 8)
-        vals = np.sort(rng_local.choice(np.arange(20.0), size=m, replace=False))
-        counts = rng_local.integers(1, 7, size=m)
-        sample = np.repeat(vals, counts)
-        assert dip_statistic(sample) == pytest.approx(
-            dip_lp_reference(vals, counts), abs=1e-9
-        )
+# ties come from a small integer grid; near ties stay out, as the LP oracle
+# loses accuracy on them (test_dip_near_coincident_atoms covers them)
+@given(st.lists(st.integers(0, 12).map(float), min_size=1, max_size=40))
+@example([5.0])
+@example([0.0, 1.0])
+@example([0.0, 1.0, 1.0])
+@settings(max_examples=60, deadline=None)
+def test_dip_matches_reference_program(sample):
+    vals, counts = np.unique(sample, return_counts=True)
+    assert dip_statistic(sample) == pytest.approx(dip_lp_reference(vals, counts), abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [4, 9, 33])
+@pytest.mark.parametrize("n", [4, 9, 33, 200, 1000])
 def test_dip_equally_spaced_staircase(n):
     # the jump midpoints fall on a line, so only half a jump is unavoidable
     assert dip_statistic(np.arange(n, dtype=float)) == pytest.approx(
@@ -106,7 +112,8 @@ def test_dip_equally_spaced_staircase(n):
     )
 
 
-# two atoms 1e-9 of the span apart, on which the fit program once failed
+# two atoms 1e-9 of the span apart: a near tie, on which a linear-program
+# fit of the dip once failed
 _NEAR_TIE = [0.0, 7.0, 7.0, 9.0, 60.0, 0.0625, 5.960464477539063e-08]
 
 
@@ -125,8 +132,8 @@ def test_dip_floor_and_ceiling(sample):
 def test_dip_near_coincident_atoms():
     vals, counts = np.unique(_NEAR_TIE, return_counts=True)
     assert dip_statistic(_NEAR_TIE) == pytest.approx(dip_lp_reference(vals, counts), abs=1e-9)
-    # gaps on both sides of the merge tolerance; the fit program failed on
-    # some of them before near-coincident atoms were merged
+    # pulling the tie apart by up to 1e-8 of the span moves the dip by
+    # less than 1e-9
     tied = dip_statistic(_NEAR_TIE[:-1] + [0.0])
     for gap in np.geomspace(1e-10, 1e-8, 100):
         got = dip_statistic(_NEAR_TIE[:-1] + [60.0 * gap])
@@ -145,9 +152,16 @@ def test_dip_separates_unimodal_from_bimodal():
     assert dip_statistic(bimodal) >= 0.15
 
 
-def test_dip_large_sample_coarsening():
-    # > 128 distinct values takes the quantile-coarsening path; stays small
+def test_dip_large_normal_sample():
+    # 2000 distinct values, every one scored: a normal sample's dip is
+    # O(1/sqrt(n)), far below the bimodal values above
     rng_local = np.random.default_rng(3)
     sample = rng_local.standard_normal(2000)
     got = dip_statistic(sample)
     assert 0.0 <= got <= 0.05
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dip_refuses_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dip_statistic([0.0, 1.0, bad])
