@@ -9,12 +9,9 @@ route of ``special.chisq_cdf_pairs``, and one for the d = 1 closed form. The
 kernel counts come from wrapping the route functions in
 ``projlens.special``'s globals, which the kernel calls:
 
-- ``tiny``: pairs in the mask of ``_is_tiny``;
-- ``erf-sum``, ``normal-tail``: pairs passed to ``_erf_sum`` and
-  ``normal_tail_difference`` (d = 1);
+- ``normal-tail``: pairs passed to ``normal_tail_difference`` (d = 1);
 - ``bessel-series``: pairs ``_bessel_series`` takes;
-- ``short-sum``: deep pairs passed to ``_short_sum``, the ones outside
-  ``_is_tiny``'s mask (the tiny pairs are counted as ``tiny``);
+- ``short-sum``: pairs passed to ``_short_sum``;
 - ``chndtr``: pairs passed to ``scipy.special.chndtr``;
 - ``convolution``: calls of ``_convolved`` for pairs where ``chndtr``
   returns nan, one pair each;
@@ -26,9 +23,9 @@ passes to ``gaussmix.interval_masses``, the first pass of d = 1 estimates;
 it wraps that name in ``projlens.discrepancy``. These pairs take no kernel
 route, but for the few balls whose closed form is not finite.
 
-Pairs at x <= 0, and deep pairs whose Chernoff bound is below the smallest
-subnormal, take no route function and are not counted. Nothing is written
-under ``perfbench/``. Takes a few seconds.
+Pairs at x <= 0 or x = inf, and deep pairs (d >= 2) whose Chernoff bound is
+below the smallest subnormal, take no route function and are not counted.
+Nothing is written under ``perfbench/``. Takes a few seconds.
 """
 
 import argparse
@@ -53,8 +50,8 @@ class _Counting:
         return self._module.chndtr(x, d, lam)
 
 
-ROUTES = ("tiny", "erf-sum", "normal-tail", "bessel-series", "short-sum", "chndtr",
-          "convolution", "deep-convolution", "closed-form")
+ROUTES = ("normal-tail", "bessel-series", "short-sum", "chndtr", "convolution",
+          "deep-convolution", "closed-form")
 
 
 def _install(special, discrepancy) -> dict:
@@ -78,13 +75,9 @@ def _install(special, discrepancy) -> dict:
         counts[route] = 0
         setattr(special, attr, counted)
 
-    # unwrapped, so that the short-sum count below adds nothing to ``tiny``
-    is_tiny = special._is_tiny
-    wrap("_is_tiny", "tiny", lambda a, out: np.count_nonzero(out))
-    wrap("_erf_sum", "erf-sum", lambda a, out: np.size(a[1]))
     wrap("normal_tail_difference", "normal-tail", lambda a, out: np.size(a[1]))
     wrap("_bessel_series", "bessel-series", lambda a, out: np.count_nonzero(out[0]))
-    wrap("_short_sum", "short-sum", lambda a, out: np.count_nonzero(~is_tiny(a[1], a[2])))
+    wrap("_short_sum", "short-sum", lambda a, out: np.size(a[1]))
     counts["chndtr"] = 0
     special.sps = _Counting(special.sps, lambda x: add("chndtr", np.size(x)))
     convolved = special._convolved

@@ -9,74 +9,54 @@ Every routine is a validating wrapper around ``scipy.special``:
   on the routes listed below, and ``chisq_cdf`` is the same call with one
   lam broadcast over the points.
 
-At d >= 2 ``chndtr`` returns nan from lam of about 1e11 up where x lies
-within some ten standard deviations of the mean (``chndtr(1e12, 2, 1e12)``).
-Those pairs take the convolution F_d(lam, x) = integral_0^x f_(d-1)(y)
-F_1(lam, x - y) dy by ``scipy.integrate.quad`` (``_convolved``), with the
-d = 1 closed form below for F_1. At lam = 1e10, where ``chndtr`` still
-returns a value, a 40-digit mpmath quadrature puts the convolution within
-1.3e-13 of the CDF and ``chndtr`` within 4.4e-12 (d = 2 and 5, x at the mean
-and 2 and 6 standard deviations above it).
+The noncentral chi-square CDF is the Poisson mixture sum_j Poisson(j;
+lam/2) P(d/2 + j, x/2). ``chisq_cdf_pairs`` gives 0 at x <= 0 and 1 at
+x = inf, and sends each pair between to one route, on none of which
+anything cancels. At d >= 2 the deep lower tail, where a Chernoff bound
+puts the CDF below e^-30, is summed by hand, because ``chndtr`` loses it:
+on 150 random such points (d <= 12, CDF above 1e-290), against 40-digit
+mpmath sums, it returns 0 on 39 and is off by up to 7e-9 relative on the
+rest. Below the smallest subnormal the CDF is 0; above it the first of
+three routes that holds takes the pair, each bounded in its docstring:
 
-The noncentral chi-square CDF is the Poisson mixture
-sum_j Poisson(j; lam/2) P(d/2 + j, x/2). Two regions keep a hand-built
-evaluation, because ``chndtr`` loses them there:
+- ``_short_sum`` where rho = (lam/2)(x/2) / (d/2 + 1) <= 1/4: the mixture
+  summed from j = 0, at most 29 terms;
+- ``_bessel_series`` where x is well below lam (q = sqrt(x / lam) up to
+  about 0.53): the generalized Marcum Q series, at most 64 terms;
+- ``_convolved`` on the pairs left, q near 1 above all, a quadrature over
+  the d = 1 closed form below: some 0.7 ms a pair whatever lam (median of
+  500 random pairs, d 2-12, lam 30-1e6, on a 2-core machine; 1.5 ms at most).
 
-- Deep lower tail, where a Chernoff bound puts the CDF below e^-30. On 150
-  random such points (d <= 12, CDF above 1e-290), against 40-digit mpmath
-  sums, ``chndtr`` returns 0 on 39 and is off by up to 7e-9 relative on the
-  rest. Three routes take these pairs, each with its bound in its
-  docstring:
-  - ``_short_sum`` where rho = (lam/2)(x/2) / (d/2 + 1) <= 1/4: the mixture
-    summed from j = 0 with ``gammainc``, each term at most rho times the one
-    before, so at most 29 terms;
-  - at d >= 2, ``_bessel_series`` where x is well below lam (q = sqrt(x /
-    lam) up to about 0.53): the generalized Marcum Q series, at most 64 terms
-    of scaled Bessel functions from two ``ive`` calls a pair and a downward
-    recurrence;
-  - at d >= 2, ``_convolved`` on the pairs left, q near 1 above all, asked
-    for a relative tolerance: some 0.7 ms a pair whatever lam (median of 500
-    random pairs, d 2-12, lam 30-1e6, on a 2-core machine; 1.5 ms at most).
-  Against 50-digit Poisson-mixture sums, on random deep pairs (d 2-12, lam
-  30-3e4, the CDF a normal double), 800 that the quadrature took stay
-  within 3.1e-13 relative; 400 that the short sum took (d 1-12) within
-  9.3e-14. On four pairs at lam = 1e10 to 1e13 (d = 2 and 5, Chernoff bound
-  near e^-40 to e^-300) a 40-digit mpmath quadrature puts the convolution
-  within 5e-14.
-- Tiny x, where (lam/2)(x/2) < 1e-90. Every term past j = 0 is then below
-  1e-90 of the first, so the CDF is e^(-lam/2) P(d/2, x/2) (``chdtr`` at
-  lam = 0), the short sum's first term, and the sum stops there. ``chndtr``
-  returns 0 on three such points in the tests (lam >= 208).
+Against 50-digit Poisson-mixture sums, on random deep pairs (d 2-12, lam
+30-3e4, the CDF a normal double), 800 that the quadrature took stay within
+3.1e-13 relative; 400 that the short sum took (d 1-12) within 9.3e-14. On
+four pairs at lam = 1e10 to 1e13 (d = 2 and 5, Chernoff bound near e^-40 to
+e^-300) a 40-digit mpmath quadrature puts the convolution within 5e-14.
 
-At d = 1 a ball is an interval and the CDF is exactly
-Phi(s_x - s_l) - Phi(-s_x - s_l) with s_x = sqrt(x), s_l = sqrt(lam).
+The other pairs at d >= 2 take ``chndtr``, and ``_convolved`` where it
+returns nan: from lam of about 1e11 up, x within some ten standard
+deviations of the mean (``chndtr(1e12, 2, 1e12)``). At lam = 1e10 a
+40-digit mpmath quadrature puts the convolution within 1.3e-13 of the CDF
+and ``chndtr`` within 4.4e-12 (d = 2 and 5, x at the mean and 2 and 6
+standard deviations above it).
 
-``chisq_cdf_pairs`` sends each pair at x > 0 to the first of these routes
-that holds for it, and nothing cancels on any of them:
+At d = 1 a ball is an interval and the CDF is exactly Phi(s_x - s_l) -
+Phi(-s_x - s_l) with s_x = sqrt(x), s_l = sqrt(lam), s_x - s_l taken as
+(x - lam) / (s_x + s_l), which keeps its relative precision where x is near
+lam. A pair takes one of two routes:
 
-- tiny x: as above;
-- d = 1, x > lam, F < 1/2: (erf((s_x - s_l) / sqrt 2) + erf((s_x + s_l) /
-  sqrt 2)) / 2, a sum of two positive terms;
-- d = 1, x > lam, F >= 1/2: 1 - (erfc((s_x - s_l) / sqrt 2) + erfc((s_x +
-  s_l) / sqrt 2)) / 2; near F = 1 the erf sum could rise with lam by one ulp;
-- d = 1, s_x s_l >= 1/2 (x <= lam), at any depth: ``ndtr(s_x - s_l) -
-  ndtr(-s_x - s_l)``, two lower tails in ratio about e^(-2 s_x s_l) <= e^-1,
-  so under one bit is lost (``normal_tail_difference``, which
-  ``gaussmix.interval_masses`` also uses);
-- deep lower tail, 0 where the Chernoff bound is below the smallest
-  subnormal; above it the short sum where rho <= 1/4, then at d >= 2 the
-  Bessel series where its route condition holds (at most 64 terms, a normal
-  start value), and the convolution on the pairs left; at d = 1 only lam x
-  < 1/4 is left, where rho < 1/24, so every such pair takes the short sum;
-- the rest: ``chndtr``, and at d >= 2 ``_convolved`` where it returns nan.
-  At d = 1 these pairs have x <= lam and s_x s_l < 1/2, so x < 1/2.
+- ``normal_tail_difference``, ``ndtr(s_x - s_l) - ndtr(-s_x - s_l)``, where
+  s_x s_l >= 1/2, at any depth: the two lower tails are in ratio about
+  e^(-2 s_x s_l) <= e^-1, so under one bit is lost; and where x > lam and
+  s_x + s_l >= 1, where F >= Phi(0) - Phi(-1) = 0.34;
+- ``_short_sum`` on every other pair: these have lam x < 1/4, so rho <
+  1/24 and it sums at most 13 terms, deep in the tail or not.
 
-s_x - s_l is taken as (x - lam) / (s_x + s_l), which keeps its relative
-precision where x is near lam. On 6000 log-uniform pairs (lam from 1e-12 to
-3e3, x from 1e-12 to 5e3) against 60-digit mpmath the routes stay within
-2.2e-16 absolute (``chndtr`` on every pair: 1e-15) and 4.5e-13 relative, on
-a deep normal-tail pair. That difference on every pair reaches 3.6e-9
-relative, where s_x s_l < 1/2 and its two tails cancel.
+On 6000 log-uniform pairs (lam from 1e-12 to 3e3, 600 of them at lam = 0;
+x from 1e-12 to 5e3) against 60-digit mpmath the two routes stay within
+4.4e-16 absolute (``chndtr`` on every pair: 2.4e-15) and 2e-13 relative, on
+a deep normal-tail pair. That difference on every pair reaches 3e-9
+relative, where x <= lam and s_x s_l < 1/2, and its two tails cancel.
 """
 
 from __future__ import annotations
@@ -89,9 +69,8 @@ from scipy import special as sps
 # relative size below which the short sum and the Bessel series drop the
 # terms they have not summed, far under one unit in the last place
 _TAIL_REL = 1e-17
-# the smallest positive double, and its log
-_SUBNORMAL = 5e-324
-_LOG_SUBNORMAL = math.log(_SUBNORMAL)
+# the log of the smallest positive double
+_LOG_SUBNORMAL = math.log(5e-324)
 # where a Chernoff bound puts the CDF below e^-30, the pair is in the deep tail
 _DEEP_TAIL_LOG = -30.0
 # the short sum takes deep pairs with rho = (lam/2)(x/2) / (d/2 + 1) up to this
@@ -100,14 +79,10 @@ _SHORT_RHO = 0.25
 # its start values must be normal doubles
 _SERIES_TERMS = 64
 _TINY_NORMAL = np.finfo(float).tiny
-# below this (lam/2)(x/2) the j = 0 term is the whole Poisson mixture
-_TINY_HX = 1e-90
-_SQRT_HALF = math.sqrt(0.5)
 # the chi tail past sqrt(k) + 12 weighs under e^-72; the absolute tolerance
 # of the convolution route (see ``_convolved``)
 _CHI_TAIL = 12.0
 _QUAD_ABS = 1e-11
-_DBL_MAX = np.finfo(float).max
 
 def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma function P(a, x).
@@ -166,9 +141,8 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
 
     Same quantity as ``chisq_cdf`` with an array noncentrality, used by the
     mixture-mass kernel where every (atom, ball) pair has its own. lam and x
-    take one shape, any, which the result keeps. Each pair at x > 0 takes
-    the first route of the module notes that holds for it. A nan x is
-    refused, as a nan lam is.
+    take one shape, any, which the result keeps. Each pair at 0 < x < inf
+    takes one route of the module notes. A nan x is refused, as a nan lam is.
     """
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ValueError(f"degrees of freedom must be a positive integer, got {d}")
@@ -181,40 +155,36 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
     if np.isnan(x_arr).any():
         raise ValueError("chi-square argument x must not be nan")
     out = np.zeros_like(x_arr)
-    pos = x_arr > 0
+    out[x_arr == np.inf] = 1.0
+    pos = (x_arr > 0) & (x_arr < np.inf)
     if not np.any(pos):
         return out
     lam, x = lam_arr[pos], x_arr[pos]
     b, half, xh = d / 2.0, lam / 2.0, x / 2.0
     vals = np.zeros_like(x)
-    # each route takes its pairs from ``rest``, the pairs no route has taken;
-    # the short sum takes the tiny pairs and, below, the deep ones it holds
-    short = _is_tiny(half, xh)
-    rest = ~short
     if d == 1:
-        erf = rest & (x > lam)
-        if erf.any():
-            vals[erf] = _erf_sum(lam[erf], x[erf])
-        rest &= ~erf
-        # s_x s_l is nan at lam = 0, x = inf, an erf-sum pair
-        with np.errstate(invalid="ignore"):
-            tails = rest & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
-        if tails.any():
-            vals[tails] = normal_tail_difference(lam[tails], x[tails])
-        rest &= ~tails
-    if rest.any():
+        s_x, s_l = np.sqrt(x), np.sqrt(lam)
+        tails = (s_x * s_l >= 0.5) | ((x > lam) & (s_x + s_l >= 1.0))
+        vals[tails] = normal_tail_difference(lam[tails], x[tails])
+        short = ~tails
+    else:
+        # half xh overflows to inf only where rho is far past _SHORT_RHO
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_bound = np.where(xh < b + half, _log_chernoff(b, half, xh), 0.0)
-        deep = rest & (log_bound < _DEEP_TAIL_LOG)
-        rest &= ~deep
+            short = half * xh <= _SHORT_RHO * (b + 1.0)
+        deep = log_bound < _DEEP_TAIL_LOG
+        rest = ~deep
+        if rest.any():
+            x_r, lam_r = x[rest], lam[rest]
+            cdf = sps.chndtr(x_r, d, lam_r)
+            for i in np.flatnonzero(np.isnan(cdf)):
+                cdf[i] = _convolved(d, float(lam_r[i]), float(x_r[i]))
+            vals[rest] = cdf
         # below the smallest subnormal the CDF rounds to 0 and needs no sum
         deep &= log_bound > _LOG_SUBNORMAL
+        short &= deep
+        deep &= ~short
         if deep.any():
-            # rho <= _SHORT_RHO as a quotient, like ``_is_tiny``'s: half xh can
-            # overflow, and a deep pair, not tiny and below the mean, has half > 0
-            short[deep] = xh[deep] <= _SHORT_RHO * (b + 1.0) / half[deep]
-            deep &= ~short
-        if d >= 2 and deep.any():
             at = np.flatnonzero(deep)
             took, sums = _bessel_series(b, lam[at], x[at])
             vals[at[took]] = sums
@@ -223,37 +193,7 @@ def chisq_cdf_pairs(d: int, lam, x) -> np.ndarray:
             vals[i] = _convolved(d, float(lam[i]), float(x[i]), deep=True)
     if short.any():
         vals[short] = _short_sum(b, half[short], xh[short])
-    if rest.any():
-        x_r, lam_r = x[rest], lam[rest]
-        cdf = sps.chndtr(x_r, d, lam_r)
-        for i in np.flatnonzero(np.isnan(cdf)):
-            cdf[i] = _convolved(d, float(lam_r[i]), float(x_r[i]))
-        vals[rest] = cdf
     out[pos] = np.clip(vals, 0.0, 1.0)
-    return out
-
-
-def _is_tiny(half: np.ndarray, xh: np.ndarray) -> np.ndarray:
-    """half * xh < _TINY_HX, tested as xh <= _TINY_HX / half, which forms
-    neither 0 * inf nor an overflowing product. half is floored at the
-    smallest subnormal to keep the quotient finite, so half = 0 (lam = 0, or
-    a subnormal lam whose half underflows) is tiny up to xh = 2e233, past
-    which every route gives 1. Where the quotient underflows to 0, only
-    xh = 0 is tiny, as with the product."""
-    return xh <= _TINY_HX / np.maximum(half, _SUBNORMAL)
-
-
-def _erf_sum(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The d = 1 CDF at x > lam by its erf or erfc sum (see the module notes)."""
-    # x = inf would give inf / inf; at the largest double the CDF is 1 already
-    x = np.minimum(x, _DBL_MAX)
-    s = np.sqrt(x) + np.sqrt(lam)
-    a, b = (x - lam) / s * _SQRT_HALF, s * _SQRT_HALF
-    # 1 - F: the upper tails are summed before the one subtraction
-    q = 0.5 * (sps.erfc(a) + sps.erfc(b))
-    out = 1.0 - q
-    low = q > 0.5
-    out[low] = 0.5 * (sps.erf(a[low]) + sps.erf(b[low]))
     return out
 
 
@@ -426,8 +366,8 @@ def _series_terms(q: np.ndarray) -> np.ndarray:
 
 def _short_sum(b: float, half: np.ndarray, xh: np.ndarray) -> np.ndarray:
     """The Poisson mixture sum_j e^-half half^j / j! P(b + j, xh), summed from
-    j = 0, for the tiny pairs and the deep pairs with rho = half xh / (b + 1)
-    <= _SHORT_RHO.
+    j = 0, for the d = 1 pairs the normal-tail difference leaves (rho = half
+    xh / (b + 1) < 1/24) and the deep pairs at d >= 2 with rho <= _SHORT_RHO.
 
     Term j + 1 is at most half xh / ((j + 1)(b + j + 1)) <= rho times term
     j, since P(a + 1, y) <= y / (a + 1) P(a, y): in P(a, y) = e^-y sum_n
@@ -435,8 +375,8 @@ def _short_sum(b: float, half: np.ndarray, xh: np.ndarray) -> np.ndarray:
     times y / (a + n + 1). So the terms past the first n sum to at most
     rho^n / (1 - rho) of the first, and a pair sums the least n terms
     (``_series_terms``) that leave out under _TAIL_REL of its sum: at most
-    29 at rho = 1/4, and only the first, e^-half P(b, xh), where rho is
-    below about 1e-17, as at every tiny pair. Every term is positive and
+    29 at rho = 1/4, 13 at rho = 1/24, and only the first, e^-half P(b,
+    xh), where rho is below about 1e-17. Every term is positive and
     summed in order of j, each pair its own n of them, so its value does
     not depend on its batch.
     """

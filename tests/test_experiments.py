@@ -361,8 +361,8 @@ def test_route_counts_script(tmp_path):
     for line in res.stdout.splitlines():
         workload, route, pairs = line.split()
         counts[workload, route] = int(pairs)
-    routes = ["tiny", "erf-sum", "normal-tail", "bessel-series", "short-sum", "chndtr",
-              "convolution", "deep-convolution", "closed-form"]
+    routes = ["normal-tail", "bessel-series", "short-sum", "chndtr", "convolution",
+              "deep-convolution", "closed-form"]
     workloads = ["radial-manyatom", "decay-oneatom", "mc-scalemix", "cli"]
     assert list(counts) == [(w, r) for w in workloads for r in routes]
     # only the d = 1 workloads take the closed form: decay, and the cli's net

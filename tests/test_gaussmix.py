@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sps
 
 from projlens import (
     Ball,
@@ -332,16 +333,17 @@ def test_coarse_model_brackets_masses_on_the_convolution_route(d):
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_coarse_model_hands_the_kernel_no_nan(d):
-    # an atom at its bin's centre (rho = 1) is at distance 0 without a kernel
-    # call: its crossing radius is 0/0, a nan x the kernel refuses
+    # an atom at its bin's centre (rho = 1) is at distance 0 without a CDF
+    # call: its crossing radius is 0/0, a nan x
     seen = []
+    chdtr = sps.chdtr
 
-    def spy(dof, lam, x):
+    def spy(dof, x):
         seen.append(np.array(x, dtype=float))
-        return special.chisq_cdf_pairs(dof, lam, x)
+        return chdtr(dof, x)
 
     model = MixtureModel(Profile.from_scales([0.5, 1.0, 2.0, 4.0]), d)
-    with mock.patch.object(gaussmix, "chisq_cdf_pairs", spy):
+    with mock.patch.object(gaussmix.sps, "chdtr", spy):
         coarse, tau = gaussmix.coarse_model(model)
     assert seen and not any(np.isnan(x).any() for x in seen)
     assert gaussmix._COARSE_SLACK <= tau < 1.0
@@ -380,39 +382,44 @@ def test_interval_bracket_stays_within_1e12_of_the_kernel(prof, balls):
 
 
 def test_interval_bracket_is_the_kernel_bit_for_bit_on_its_closed_form_route():
-    # at 0 < x <= lam with sqrt(x lam) >= 1/2, deep in the lower tail or
-    # not, the kernel's d = 1 route is the bracket's own closed form, so a
-    # one-atom model gets the same bits from both; the deep pairs have lam
-    # up to 1e13 and a Chernoff exponent near -c, c from 30 to 690
+    # where sqrt(x lam) >= 1/2, deep in the lower tail or not, or where x >
+    # lam and sqrt x + sqrt lam >= 1, the kernel's d = 1 route is the
+    # bracket's own closed form, so a one-atom model gets the same bits from
+    # both; the kernel's short sum takes every other pair, within 1e-15 of
+    # the bracket. The deep pairs have lam up to 1e13 and a Chernoff exponent
+    # near -c, c from 30 to 690
     gen = np.random.default_rng(7)
-    lam = 10.0 ** gen.uniform(-2.0, 4.0, 20_000)
-    x = lam * gen.uniform(0.0, 1.0, lam.size)
+    lam = 10.0 ** gen.uniform(-8.0, 4.0, 40_000)
+    x = lam * 10.0 ** gen.uniform(-8.0, 6.0, lam.size)
     deep_lam = 10.0 ** gen.uniform(0.0, 13.0, 4000)
     deep_x = (np.sqrt(deep_lam) - np.sqrt(2.0 * gen.uniform(30.0, 690.0, 4000))) ** 2
     lam, x = np.concatenate([lam, deep_lam]), np.concatenate([x, deep_x])
-    route = (x > 0.0) & (x <= lam) & (np.sqrt(x) * np.sqrt(lam) >= 0.5)
-    lam, x = lam[route], x[route]
+    s_x, s_l = np.sqrt(x), np.sqrt(lam)
+    route = (s_x * s_l >= 0.5) | ((x > lam) & (s_x + s_l >= 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         deep = special._log_chernoff(0.5, lam / 2.0, x / 2.0) < special._DEEP_TAIL_LOG
-    assert lam.size > 5000 and np.count_nonzero(deep) > 2000
+    above = x > lam
+    assert np.count_nonzero(route & above) > 5000 and np.count_nonzero(route & ~above) > 5000
+    assert np.count_nonzero(route & deep) > 2000 and np.count_nonzero(~route) > 5000
     model = _model([1.0], [1.0], 1)
     got = gaussmix.interval_masses(model, lam, x)
-    assert got.tobytes() == gaussmix.mixture_masses_sq(model, lam, x).tobytes()
+    want = gaussmix.mixture_masses_sq(model, lam, x)
+    assert got[route].tobytes() == want[route].tobytes()
+    assert np.all(np.abs(got - want) <= 1e-15)
 
 
 def test_interval_bracket_routes_and_edge_balls():
     # the property above reaches the kernel's short sum, on a tiny-x pair
-    # and on a deep one (at d = 1 the closed forms leave it only lam x <
-    # 1/4, here 0.1); balls the closed form cannot take (B(0, 0), r = inf,
-    # lam = inf) get the kernel's value or its refusal
+    # and on a deep one (at d = 1 the normal-tail difference leaves it only
+    # lam x < 1/4, here 4e-300 and 0.1); balls the closed form cannot take
+    # (B(0, 0), r = inf, lam = inf) get the kernel's value or its refusal
     model = _model([0.0, 1.0], [0.25, 0.75], 1)
     c2 = np.array([4.0, 1e3, 0.0, 0.0, 9.0])
     r2 = np.array([1e-300, 1e-4, 0.0, np.inf, 4.0])
     with mock.patch.object(special, "_short_sum", wraps=special._short_sum) as short:
         want = gaussmix.mixture_masses_sq(model, c2, r2)
-    summed = [(half, xh) for _, half, xh in (call.args for call in short.call_args_list)]
-    assert any(special._is_tiny(half, xh).any() for half, xh in summed)
-    assert any((~special._is_tiny(half, xh)).any() for half, xh in summed)
+    summed = np.concatenate([xh for _, _, xh in (call.args for call in short.call_args_list)])
+    assert np.isin(r2[:2] / 2.0, summed).all()
     got = gaussmix.interval_masses(model, c2, r2)
     assert np.all(np.abs(got - want) <= 1e-15)
     assert got[2] == 0.25 and got[3] == 1.0

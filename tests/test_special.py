@@ -411,12 +411,12 @@ def test_nonincreasing_in_noncentrality(d, lam, dlam, x):
 
 # mpmath values (60 digits) of Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam),
 # the d = 1 CDF, in pairs on both sides of each cut between its routes:
-# x = lam (erf sum above), sqrt(x lam) = 1/2 (normal-tail difference at or
-# above, however deep, chndtr below), and the tiny-x cut (lam/2)(x/2) =
-# 1e-90, past which the short sum takes the pair with more terms than its
-# first. The pair near x = 41.57 at lam = 200 straddles the e^-30
-# Chernoff cut, which once split the routes there and now does not: both
-# take the normal-tail difference. The last value is subnormal
+# sqrt(x lam) = 1/2 (normal-tail difference at or above, however deep, the
+# short sum below) and, at lam = 0.25, x = lam (above it sqrt x + sqrt lam
+# >= 1 and the normal-tail difference takes the pair). The pairs around
+# x = lam at lam = 100, (lam/2)(x/2) = 1e-90 at lam = 300 and the e^-30
+# Chernoff cut near x = 41.57 at lam = 200 straddle no d = 1 cut: each
+# pair takes one route. The last value is subnormal
 ONE_DOF_ROUTES = [
     (1, 100.0, 99.0, 0.4800111382348642),
     (1, 100.0, 101.0, 0.5198892476769775),
@@ -440,17 +440,18 @@ def test_one_dof_routes_match_mpmath(cdf, d, lam, x, want):
         assert cdf(d, lam, x) == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
-# the cuts between the d = 1 routes as points in x at a given lam: x = lam,
-# x lam = 1/4 and the tiny-x cut; and the deep-tail cut (roughly where
-# (sqrt lam - sqrt x)^2 = 60; none below lam = 60), which splits no d = 1
-# routes past x lam = 1/4, kept as a check of the normal-tail difference
-# there; two points around a cut, each 0 or from 1e-9 up to 50% off it, land
-# on either side of it or on it
+# the cuts between the d = 1 routes as points in x at a given lam: x = lam
+# from lam = 1/4 up, x lam = 1/4, and sqrt x + sqrt lam = 1 below lam = 1/4;
+# and, kept as checks of one route across them, the deep-tail cut (roughly
+# where (sqrt lam - sqrt x)^2 = 60; none below lam = 60) and (lam/2)(x/2) =
+# 1e-90; two points around a cut, each 0 or from 1e-9 up to 50% off it,
+# land on either side of it or on it
 _X_CUTS = [
     lambda lam: lam,
     lambda lam: 0.25 / lam,
     lambda lam: (math.sqrt(lam) - math.sqrt(60.0)) ** 2 if lam > 60.0 else lam,
     lambda lam: 4e-90 / lam,
+    lambda lam: (1.0 - math.sqrt(lam)) ** 2 if lam < 0.25 else lam,
 ]
 
 
@@ -469,14 +470,16 @@ def test_one_dof_monotone_in_x_across_routes(lam, cut, below, above):
 
 
 # the same cuts as points in lam at a given x (the deep-tail one again
-# within the normal-tail difference where x lam >= 1/4), but for the tiny-x one, where
-# lam < 4e-90 / x moves F far less than its rounding, so which route comes
-# out higher is noise; for the same reason the steps are 1e-3 or more (near
-# lam = 1e-6 a step of 1e-9 moves F by about 5e-16 of itself)
+# within the normal-tail difference where x lam >= 1/4), but for lam =
+# 4e-90 / x, below which a step in lam moves F far less than its rounding,
+# so which side comes out higher is noise; for the same reason the steps are
+# 1e-3 or more (near lam = 1e-6 a step of 1e-9 moves F by about 5e-16 of
+# itself)
 _LAM_CUTS = [
     lambda x: x,
     lambda x: 0.25 / x,
     lambda x: (math.sqrt(x) + math.sqrt(60.0)) ** 2,
+    lambda x: (1.0 - math.sqrt(x)) ** 2 if x < 1.0 else x,
 ]
 
 
@@ -487,8 +490,8 @@ _LAM_CUTS = [
     above=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
 )
 @settings(max_examples=200, deadline=None)
-# shrunk from a failure of the erf sum near F = 1, which rose with lam by one
-# ulp: 0.9999999999999994 at lam = 0.25 / x, 0.9999999999999996 at 1.25 times that
+# near F = 1, where a sum of erf values for the CDF rose with lam by one ulp:
+# 0.9999999999999994 at lam = 0.25 / x, 0.9999999999999996 at 1.25 times that
 @example(x=65.9375, cut=_LAM_CUTS[1], below=0.0, above=0.25)
 def test_one_dof_nonincreasing_in_lam_across_routes(x, cut, below, above):
     at = cut(x)
@@ -517,12 +520,13 @@ def _series_x(lam, u):
     return (math.sqrt(lam) - math.sqrt(2.0 * (lo + (hi - lo) * u))) ** 2
 
 
-# (lam, x) pairs aimed at each route of the kernel: tiny x, the Bessel series
-# at d >= 2 (deep, x / lam from 1e-4 to 1/4), the d = 1 erf sum
-# (x > lam), the deep lower tail (Chernoff exponent from -31 to -400, which
-# at d = 1 the normal-tail difference takes; and, at every d, x lam from
-# 0.0125 to 0.2375 with lam from 200 up), the d = 1 normal-tail difference
-# (x just below lam), and chndtr at d >= 2 and at d = 1 (x <= lam, x lam < 1/4)
+# (lam, x) pairs aimed at each route of the kernel: (lam/2)(x/2) below
+# 1e-90, the Bessel series at d >= 2 (deep, x / lam from 1e-4 to 1/4), x >
+# lam (at d = 1 the normal-tail difference), the deep lower tail (Chernoff
+# exponent from -31 to -400, which at d = 1 the normal-tail difference
+# takes; and, at every d, x lam from 0.0125 to 0.2375 with lam from 200 up,
+# the short sum), the d = 1 normal-tail difference (x just below lam),
+# chndtr at d >= 2, and the d = 1 short sum (x <= lam, x lam < 1/4)
 _ROUTE_PAIRS = [
     _route_pairs(st.floats(1e-6, 1e6), lambda lam, u: (0.05 + 0.9 * u) * 4e-90 / lam),
     _route_pairs(st.floats(64.0, 4800.0), _series_x),
@@ -572,32 +576,40 @@ _one_dof_below = st.tuples(st.floats(-40.0, 13.0), st.floats(-80.0, 0.0)).map(
 @settings(max_examples=100, deadline=None)
 @example(pairs=[(2.72276075968322e-33, 2.72276075968322e-33)])
 def test_one_dof_pairs_reach_neither_the_series_nor_the_quadrature(pairs):
-    # a deep d = 1 pair the closed forms leave has lam x < 1/4, so rho =
-    # (lam/2)(x/2) / (3/2) < 1/24 and the short sum takes it
+    # a d = 1 pair the normal-tail difference leaves has lam x < 1/4, so rho
+    # = (lam/2)(x/2) / (3/2) < 1/24 and the short sum takes it, deep or not:
+    # no d = 1 pair needs the Chernoff test, chndtr, the series or the quadrature
     lam, x = np.array(pairs).T
     with mock.patch.object(special, "_bessel_series", side_effect=AssertionError) as series, \
-            mock.patch.object(special, "_convolved", side_effect=AssertionError) as conv:
+            mock.patch.object(special, "_convolved", side_effect=AssertionError) as conv, \
+            mock.patch.object(special, "_log_chernoff", side_effect=AssertionError) as bound, \
+            mock.patch.object(special.sps, "chndtr", side_effect=AssertionError) as chndtr:
         got = chisq_cdf_pairs(1, lam, x)
-    assert not series.called and not conv.called
+    assert not (series.called or conv.called or bound.called or chndtr.called)
     assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 @given(d=st.integers(1, 12), lam=st.floats(0.0, 1e6), u=st.floats(0.0, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_tiny_pairs_take_the_first_term_alone(d, lam, u):
-    # where (lam/2)(x/2) < 1e-90 the short sum stops after its first term,
-    # e^(-lam/2) P(d/2, x/2), and gives exactly its bits
-    x = u * 4e-90 / max(lam, 1e-300)
-    assume(special._is_tiny(np.array([lam / 2.0]), np.array([x / 2.0]))[0])
-    want = np.exp(-lam / 2.0) * sps.gammainc(d / 2.0, x / 2.0)
-    assert _pairs_at(d, lam, x) == want
+    # where (lam/2)(x/2) <= 1e-90 every Poisson term past j = 0 is below
+    # 1e-90 of the first, so the CDF is e^(-lam/2) P(d/2, x/2); a deep pair
+    # the short sum takes stops after that term and gives exactly its bits
+    b, half, xh = d / 2.0, lam / 2.0, u * 2e-90 / max(lam, 1e-300)
+    got = _pairs_at(d, lam, 2.0 * xh)
+    want = np.exp(-half) * sps.gammainc(b, xh)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_bound = special._log_chernoff(b, half, xh) if xh < b + half else 0.0
+    if special._LOG_SUBNORMAL < log_bound < special._DEEP_TAIL_LOG:
+        assert got == want
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_pairs_extreme_pairs_raise_no_warning(d):
-    # the tiny-x test must form neither 0 * inf (lam = 0, x = inf) nor an
-    # overflowing product (lam = 1e10, x = 1e300); x / 2 underflowing to 0
-    # keeps the pair in the tiny region, where the CDF is e^-(lam/2) = 0
+    # the routes must form neither 0 * inf (lam = 0, x = inf) nor an
+    # overflowing product (lam = 1e10, x = 1e300); where x / 2 underflows to
+    # 0 the CDF is e^-(lam/2) P(d/2, 0) = 0
     lams = [0.0, 1e10, 1e300, 3.0]
     xs = [math.inf, 1e300, 5e-324, math.inf]
     with warnings.catch_warnings():
